@@ -34,20 +34,19 @@ from .kernel import (
     LyapunovTrace,
     MonotonicityError,
     SingularKernel,
+    antisymmetry_defect,
     build_kernel,
-    completeness_defect,
     expectation_trace,
     lyapunov_trace,
     mb_expectation,
     mf_expectation,
     mpc_commutator_defect,
+    pairing_defect,
 )
 from .hardy import (
-    ForwardComponent,
     forward_component,
     mb_expectation_oracle,
     mf_expectation_oracle,
-    sample_forward_component,
     tail_density,
 )
 from .mrep import (
@@ -60,7 +59,6 @@ from .mrep import (
     from_m_representation,
     make_m_grid,
     mf_expectation_via_m,
-    project_m_interval,
     to_m_representation,
 )
 from .scattering import (

@@ -12,7 +12,6 @@ diagonal in the channel label, so cross-channel interference cannot enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +21,6 @@ from scipy.interpolate import CubicSpline
 from .grids import ChannelState
 
 __all__ = [
-    "ForwardComponent",
     "forward_component",
     "tail_density",
     "mf_expectation_oracle",
@@ -46,30 +44,11 @@ def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
     return out / (2.0 * np.pi)
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardComponent:
-    """Samples of f_j(tau) on a non-positive tau lattice (support on R^-)."""
-
-    tau_nodes: np.ndarray
-    values: np.ndarray
-    channels: tuple[str, ...]
-
-    def __post_init__(self):
-        if np.any(self.tau_nodes > 0.0):
-            raise ValueError("forward component lives on tau <= 0")
-
-
 def forward_component(state: ChannelState, tau: float) -> np.ndarray:
     """f_j(tau) = (1/2pi) Theta(-tau) integral_0^inf e^{i E tau} psi_j(E) dE."""
     if tau > 0.0:
         return np.zeros(len(state.channels), dtype=complex)
     return _half_line_transform(state, np.array([tau]))[:, 0]
-
-
-def sample_forward_component(state: ChannelState, tau_nodes) -> ForwardComponent:
-    """Tabulate f_j on a non-positive delay lattice."""
-    taus = np.asarray(tau_nodes, dtype=float)
-    return ForwardComponent(taus, _half_line_transform(state, taus), state.channels)
 
 
 def tail_density(state: ChannelState, tau: float) -> float:

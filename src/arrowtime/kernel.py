@@ -18,7 +18,7 @@ monotonicity holds to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.special import sici
@@ -41,7 +41,8 @@ __all__ = [
     "mb_expectation",
     "expectation_trace",
     "lyapunov_trace",
-    "completeness_defect",
+    "antisymmetry_defect",
+    "pairing_defect",
     "mpc_commutator_defect",
 ]
 
@@ -82,6 +83,9 @@ def _cauchy_offdiag_apply(nodes: np.ndarray, z: np.ndarray, block: int = 2048) -
     return out[:, 0] if squeeze else out
 
 
+CauchyApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 def _gamma_cell(x: np.ndarray) -> np.ndarray:
     """2 Si(x) - 2(1 - cos x)/x: exact cell average of the evolved diagonal.
 
@@ -117,21 +121,6 @@ class SingularKernel:
 
     delta_coefficient: float = field(default=0.5, init=False)
 
-    @property
-    def pv_matrix(self) -> np.ndarray:
-        """Dense principal-value matrix w_i w_j / (E_i - E_j), zero diagonal.
-
-        Weights are folded in on both sides, which keeps the matrix exactly
-        antisymmetric on nonuniform grids.  Materialized on demand; intended
-        for inspection and for modest grid sizes.
-        """
-        e = self.grid.nodes
-        diff = e[:, None] - e[None, :]
-        np.fill_diagonal(diff, 1.0)
-        mat = (self.grid.weights[:, None] * self.grid.weights[None, :]) / diff
-        np.fill_diagonal(mat, 0.0)
-        return mat
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Act on a channel amplitude vector.
 
@@ -164,8 +153,12 @@ def build_kernel(grid: EnergyGrid, orientation: Orientation = "forward") -> Sing
     return SingularKernel(grid, orientation, rows, ell)
 
 
-def _forward_values(state: ChannelState, times: np.ndarray) -> np.ndarray:
-    """Forward expectation at each time via the Hermitian quadratic form."""
+def _forward_values(
+    state: ChannelState, times: np.ndarray, cauchy: CauchyApply = _cauchy_offdiag_apply
+) -> tuple[np.ndarray, float]:
+    """Forward expectation at each time via the Hermitian quadratic form, and
+    the reality defect: max over times and channels of |Re<z, C z>| / 2pi for
+    the weighted evolved amplitudes z, zero when `cauchy` is antisymmetric."""
     grid = state.grid
     e, w = grid.nodes, grid.weights
     times = np.asarray(times, dtype=float)
@@ -177,17 +170,12 @@ def _forward_values(state: ChannelState, times: np.ndarray) -> np.ndarray:
     reality = 0.0
     for row in state.amplitudes:
         z = (w * row)[:, None] * np.exp(-1j * np.outer(e, times))
-        s = _cauchy_offdiag_apply(e, z)
+        s = cauchy(e, z)
         pv = np.sum(np.conj(z) * s, axis=0)
         pv_imag += pv.imag
         reality = max(reality, float(np.max(np.abs(pv.real), initial=0.0)))
         cell += np.sum((w * np.abs(row) ** 2)[:, None] * _gamma_cell(np.outer(w, times)), axis=0)
-    if reality / (2.0 * np.pi) > REALITY_TOL:
-        raise RuntimeError(
-            "expectation value acquired an imaginary part "
-            f"({reality / (2.0 * np.pi):.3e}); the antisymmetric kernel is broken"
-        )
-    return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi)
+    return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), reality / (2.0 * np.pi)
 
 
 def expectation_trace(
@@ -195,7 +183,12 @@ def expectation_trace(
 ) -> np.ndarray:
     """Vectorized expectation values over many times (one kernel pass)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    fwd = _forward_values(state, times)
+    fwd, reality = _forward_values(state, times)
+    if reality > REALITY_TOL:
+        raise RuntimeError(
+            "expectation value acquired an imaginary part "
+            f"({reality:.3e}); the antisymmetric kernel is broken"
+        )
     if orientation == "forward":
         return fwd
     if orientation == "backward":
@@ -253,7 +246,7 @@ def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
     if times.size == 0:
         empty = np.array([])
         return LyapunovTrace(empty, empty.copy(), empty.copy(), state.norm_squared())
-    mf = _forward_values(state, times)
+    mf = expectation_trace(state, times, "forward")
     norm2 = state.norm_squared()
     trace = LyapunovTrace(times, mf, norm2 - mf, norm2)
     steps = np.diff(mf)
@@ -265,9 +258,32 @@ def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
     return trace
 
 
-def completeness_defect(state: ChannelState, t: float) -> float:
-    """<M_F> + <M_B> - norm^2; identically zero by kernel antisymmetry."""
-    return mf_expectation(state, t) + mb_expectation(state, t) - state.norm_squared()
+def antisymmetry_defect(
+    state: ChannelState, times, cauchy: CauchyApply = _cauchy_offdiag_apply
+) -> float:
+    """Worst |Re<psi(t)| C |psi(t)>| / 2pi over `times` for C = W Cauchy W.
+
+    Zero to roundoff when C is antisymmetric, which is what makes expectation
+    values real and forward + backward the identity.  `cauchy` replaces the
+    skip-diagonal Cauchy sum, so a fault can be injected into the operator.
+    """
+    return _forward_values(state, np.atleast_1d(np.asarray(times, dtype=float)), cauchy)[1]
+
+
+def pairing_defect(
+    grid: EnergyGrid, a, b, cauchy: CauchyApply = _cauchy_offdiag_apply
+) -> float:
+    """|<a, C b> + <C a, b>| / (|a| |C b| + |C a| |b|) for C = W Cauchy W.
+
+    Zero to roundoff when C is antisymmetric; `cauchy` as in antisymmetry_defect.
+    """
+    w = grid.weights[:, None]
+    ab = np.stack([a, b], axis=1).astype(complex)
+    a, b = ab.T
+    ca, cb = (w * cauchy(grid.nodes, w * ab)).T
+    defect = abs(np.vdot(a, cb) + np.vdot(ca, b))
+    scale = np.linalg.norm(a) * np.linalg.norm(cb) + np.linalg.norm(ca) * np.linalg.norm(b)
+    return float(defect / scale) if scale > 0.0 else float(defect)
 
 
 def mpc_commutator_defect(state: ChannelState) -> tuple[float, float]:

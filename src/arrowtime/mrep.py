@@ -37,7 +37,6 @@ __all__ = [
     "from_m_representation",
     "mf_expectation_via_m",
     "eigen_residual",
-    "project_m_interval",
     "backward_running_probability",
     "default_spectral_grid",
 ]
@@ -286,11 +285,6 @@ def eigen_residual(m: float, grid: EnergyGrid, kernel: SingularKernel | None = N
     num = np.sqrt(np.sum(w * np.abs(r[sl]) ** 2))
     den = np.sqrt(np.sum(w * np.abs(g[sl]) ** 2))
     return float(num / den)
-
-
-def project_m_interval(dist: MDistribution, interval: tuple[float, float]) -> MDistribution:
-    """Sharp indicator projection onto an eigenvalue interval."""
-    return dist.project(interval)
 
 
 def backward_running_probability(

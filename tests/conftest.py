@@ -1,7 +1,11 @@
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import arrowtime as at
+from arrowtime.checks import run_checks
 
 
 def arctan_trace(t):
@@ -37,3 +41,13 @@ def packet_state(packet_params):
 @pytest.fixture(scope="session")
 def packet_state_fine(packet_params):
     return at.gaussian_channel_state(packet_params, n=4096)
+
+
+@pytest.fixture(scope="session")
+def registry():
+    """The invariant suite of `arrowtime check`, run once per session."""
+    start = time.perf_counter()
+    results = run_checks()
+    return SimpleNamespace(
+        results={r.name: r for r in results}, seconds=time.perf_counter() - start
+    )

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from arrowtime import checks, cli
 from arrowtime.cli import main
 from conftest import arctan_trace
 
@@ -69,6 +71,19 @@ def test_config_error_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_n=4)
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "grid_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["frames", "equiv"])
+def test_gaussian_only_command_rejects_exponential_before_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_work(cfg):
+        raise AssertionError("state built before the config was checked")
+
+    monkeypatch.setattr(cli, "_build_state", no_work)
+    cfg = write_config(tmp_path, experiment="exponential")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "experiment" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -150,28 +165,39 @@ def test_galapon_command_trace(tmp_path):
     assert np.max(np.abs(data[:, 1] + np.sin(data[:, 0]))) < 1e-12
 
 
-def test_check_subcommand_filtered(capsys):
+def stub_checks(monkeypatch):
+    """Replace the registry with no-op checks that record which ones ran;
+    the real checks run once per session in the `registry` fixture."""
+    ran = []
+    stubs = [(name, lambda ctx, name=name: ran.append(name)) for name in checks.check_names()]
+    monkeypatch.setattr(checks, "_CHECKS", stubs)
+    return ran
+
+
+def test_check_subcommand_filtered(capsys, monkeypatch):
+    ran = stub_checks(monkeypatch)
     assert main(["check", "--filter", "galapon"]) == 0
     out = capsys.readouterr().out
     assert "galapon.witness" in out and "PASS" in out
+    assert ran == ["galapon.witness", "galapon.proportionality"]
 
 
-def test_check_fault_injection_fails_completeness(capsys):
+def test_check_fault_injection_fails_antisymmetry(capsys):
     code = main(
-        ["check", "--filter", "completeness", "--inject-fault", "kernel-antisymmetry"]
+        ["check", "--filter", "antisymmetry", "--inject-fault", "kernel-antisymmetry"]
     )
     assert code == 1
     captured = capsys.readouterr()
-    assert "completeness_defect" in captured.out + captured.err
+    assert "FAIL  arrow_operator.antisymmetry" in captured.out
+    assert "reality defect" in captured.out
 
 
-def test_run_checks_filter_names():
-    from arrowtime.checks import check_names, run_checks
-
-    names = check_names()
-    assert any(n.startswith("hardy.") for n in names)
-    results = run_checks("galapon")
+def test_run_checks_filter_names(monkeypatch):
+    assert any(n.startswith("hardy.") for n in checks.check_names())
+    ran = stub_checks(monkeypatch)
+    results = checks.run_checks("galapon")
     assert results and all(r.name.startswith("galapon") for r in results)
+    assert ran == [r.name for r in results]
 
 
 def test_seed_flag_overrides_config(tmp_path):

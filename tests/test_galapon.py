@@ -42,13 +42,6 @@ def test_galapon_rejects_repeated_levels():
         at.galapon_T([0.0, 1.0, 1.0])
 
 
-def test_proportionality_on_uniform_grid():
-    grid, step = uniform_level_grid()
-    sym = at.discretize_symmetric(grid)
-    ref = at.galapon_T(grid.nodes)
-    assert np.max(np.abs(sym.matrix - (step / np.pi) * ref.matrix)) < 1e-12
-
-
 def test_two_level_witness_is_minus_sine():
     op = at.galapon_T([0.0, 1.0])
     state = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -57,15 +50,6 @@ def test_two_level_witness_is_minus_sine():
     assert np.max(np.abs(wt.values + np.sin(times))) < 1e-12
     assert wt.non_monotone
     assert wt.values[0] == 0.0
-
-
-@pytest.mark.parametrize("gap", [0.5, 1.0, 2.0])
-def test_witness_gap_scaling(gap):
-    op = at.galapon_T([0.0, gap])
-    state = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    times = np.linspace(0.0, 2.0 * np.pi / gap, 129)
-    wt = at.lyapunov_violation_witness(op, state, times)
-    assert np.max(np.abs(wt.values + np.sin(gap * times) / gap)) < 1e-12
 
 
 def test_witness_constant_for_eigenstate():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrowtime as at
 
@@ -19,15 +21,7 @@ def test_forward_plus_backward_acts_as_identity(profile_grid):
     v = rng.normal(size=profile_grid.n) + 1j * rng.normal(size=profile_grid.n)
     resid = fwd.apply(v) + bwd.apply(v) - v
     assert np.max(np.abs(resid)) < 1e-13 * np.max(np.abs(v))
-
-
-def test_pv_matrix_antisymmetric_with_zero_diagonal():
-    grid = at.make_energy_grid(0.5, 20.0, 128, "logarithmic")
-    kern = at.build_kernel(grid, "forward")
-    mat = kern.pv_matrix
-    assert np.max(np.abs(mat + mat.T)) == 0.0
-    assert np.all(np.diag(mat) == 0.0)
-    assert kern.delta_coefficient == 0.5
+    assert fwd.delta_coefficient == 0.5
 
 
 def test_kernel_reproduces_eigenfunction_action():
@@ -112,15 +106,28 @@ def test_trace_validation_rejects_inconsistent_data():
         at.LyapunovTrace(times, np.array([1.2, 0.5]), np.array([-0.2, 0.5]), 1.0)
 
 
-def test_completeness_defect_machine_zero(profile_grid, oracle_state):
-    rng_seeds = range(5)
-    for k in rng_seeds:
+def test_antisymmetry_defect_machine_zero(profile_grid, oracle_state):
+    for k in range(5):
         state = at.random_smooth_state(profile_grid, seed=100 + k)
-        for t in (-2.0, 0.0, 1.3):
-            assert abs(at.completeness_defect(state, t)) < 1e-12
+        assert at.antisymmetry_defect(state, (-2.0, 0.0, 1.3)) < 1e-12
     zero = oracle_state.with_amplitudes(np.zeros_like(oracle_state.amplitudes))
-    assert at.completeness_defect(zero, 0.7) == 0.0
-    assert abs(at.completeness_defect(oracle_state, 0.0)) < 1e-12
+    assert at.antisymmetry_defect(zero, 0.7) == 0.0
+    assert at.antisymmetry_defect(oracle_state, 0.0) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    spacing=st.sampled_from(["linear", "logarithmic"]),
+    log_e_min=st.floats(-10.0, 3.0),
+    log_span=st.floats(0.01, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_operator_antisymmetric(n, spacing, log_e_min, log_span, seed):
+    grid = at.make_energy_grid(10.0**log_e_min, 10.0 ** (log_e_min + log_span), n, spacing)
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    assert at.pairing_defect(grid, a, b) < 1e-12
 
 
 def test_expectation_bounds_on_random_states(profile_grid):
@@ -139,15 +146,6 @@ def test_derivative_matches_tail_density(oracle_state):
     )
     rate = -at.tail_density(at.evolve(oracle_state, t), 0.0)
     assert abs(num - rate) < 1e-3 + h**2
-
-
-def test_channel_additivity(packet_state):
-    t = 0.21
-    whole = at.mf_expectation(packet_state, t)
-    parts = at.mf_expectation(packet_state.restrict_channel("+"), t) + at.mf_expectation(
-        packet_state.restrict_channel("-"), t
-    )
-    assert abs(whole - parts) < 1e-12
 
 
 def test_mpc_rate_for_oracle_state(oracle_state):

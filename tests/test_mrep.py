@@ -117,8 +117,8 @@ def test_eigen_residual_contract_and_refinement():
 
 def test_projection_idempotent(packet_state):
     dist = at.to_m_representation(packet_state)
-    once = at.project_m_interval(dist, (0.4, 0.6))
-    twice = at.project_m_interval(once, (0.4, 0.6))
+    once = dist.project((0.4, 0.6))
+    twice = once.project((0.4, 0.6))
     assert np.array_equal(once.values, twice.values)
 
 
