@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrowtime as at
+from arrowtime.kernel import _cauchy_offdiag_apply
 
 
 def test_backward_kernel_is_conjugate(profile_grid):
@@ -22,6 +23,17 @@ def test_forward_plus_backward_acts_as_identity(profile_grid):
     resid = fwd.apply(v) + bwd.apply(v) - v
     assert np.max(np.abs(resid)) < 1e-13 * np.max(np.abs(v))
     assert fwd.delta_coefficient == 0.5
+
+
+def test_pv_matrix_antisymmetric_with_zero_diagonal():
+    # the dense principal-value matrix w_i w_j / (E_i - E_j) that the
+    # skip-diagonal Cauchy sum applies, read off column by column
+    grid = at.make_energy_grid(0.5, 20.0, 128, "logarithmic")
+    w = grid.weights
+    mat = np.outer(w, w) * _cauchy_offdiag_apply(grid.nodes, np.eye(grid.n)).real
+    assert np.max(np.abs(mat + mat.T)) == 0.0
+    assert np.all(np.diag(mat) == 0.0)
+    assert at.build_kernel(grid, "forward").delta_coefficient == 0.5
 
 
 def test_kernel_reproduces_eigenfunction_action():

@@ -11,6 +11,14 @@ def test_free_model_is_trivial():
     assert np.all(model.reflection(p) == 0.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0, 7.5])
+def test_unitarity(lam):
+    model = at.delta_model(lam)
+    p = np.geomspace(1e-3, 50.0, 512)
+    defect = np.abs(model.reflection(p)) ** 2 + np.abs(model.transmission(p)) ** 2 - 1.0
+    assert np.max(np.abs(defect)) < 1e-12
+
+
 def test_transmission_against_reflection_and_fd_solve():
     model = at.delta_model(1.0, 1.0)
     exact = float(np.abs(model.transmission(1.0)) ** 2)
@@ -34,6 +42,11 @@ def test_moller_map_identity_and_isometry(packet_state):
 
 def test_equivalence_defect_free_case(packet_state):
     assert at.equivalence_defect(packet_state, at.delta_model(0.0)) == 0.0
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_equivalence_defect_interacting(packet_state, lam):
+    assert at.equivalence_defect(packet_state, at.delta_model(lam)) < 1e-10
 
 
 def test_asymptotic_overlap_free_case(packet_state):
