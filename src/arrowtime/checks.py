@@ -27,9 +27,9 @@ from .grids import (
 )
 from .hardy import forward_component, mf_expectation_oracle, tail_density
 from .kernel import (
-    _cauchy_offdiag_apply,
     antisymmetry_defect,
     build_kernel,
+    cauchy_apply,
     expectation_trace,
     lyapunov_trace,
     mf_expectation,
@@ -170,15 +170,15 @@ def check_evolve_channel_restriction(ctx: _Ctx):
 # --- arrow_operator ----------------------------------------------------------
 
 
-def _symmetric_fault(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _symmetric_fault(grid: EnergyGrid, z: np.ndarray) -> np.ndarray:
     """Cauchy sum plus 1e-6 on every entry: W(...)W gains 1e-6 w w^T."""
-    return _cauchy_offdiag_apply(nodes, z) + 1e-6 * np.sum(z, axis=0)
+    return cauchy_apply(grid, z) + 1e-6 * np.sum(z, axis=-1, keepdims=True)
 
 
 def check_antisymmetry(ctx: _Ctx):
     states = ctx.random_states(100)
     times = np.linspace(-2.0, 2.0, 5)
-    cauchy = _symmetric_fault if ctx.fault == "kernel-antisymmetry" else _cauchy_offdiag_apply
+    cauchy = _symmetric_fault if ctx.fault == "kernel-antisymmetry" else cauchy_apply
     reality = max(antisymmetry_defect(state, times, cauchy) for state in states)
     rng = np.random.default_rng(ctx.seed)
     n = states[0].grid.n

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import run_checks
 from .galapon import discretize_symmetric, galapon_T, lyapunov_violation_witness
-from .grids import EnergyGrid, make_energy_grid
+from .grids import EnergyGrid, UnderresolvedGridError, make_energy_grid
 from .hardy import mf_expectation_oracle
 from .kernel import MonotonicityError, lyapunov_trace, mf_expectation
 from .mrep import make_m_grid, to_m_representation
@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError("xi0", "must be positive")
         if self.spacing not in ("logarithmic", "linear"):
             raise ConfigError("spacing", "must be 'logarithmic' or 'linear'")
+        if command == "frames" and self.spacing != "logarithmic":
+            raise ConfigError("spacing", "frames needs a logarithmic grid for the m-lattice")
         if self.grid_n < 8:
             raise ConfigError("grid_n", "needs at least 8 nodes")
         if self.t_count < 0:
@@ -149,9 +151,12 @@ def _build_grid(cfg: RunConfig) -> EnergyGrid:
 
 def _build_state(cfg: RunConfig):
     grid = _build_grid(cfg)
-    if cfg.experiment == "gaussian":
+    if cfg.experiment == "exponential":
+        return exponential_profile(grid)
+    try:
         return gaussian_channel_state(_packet_params(cfg), grid)
-    return exponential_profile(grid)
+    except UnderresolvedGridError as exc:
+        raise ConfigError("grid_n", str(exc)) from exc
 
 
 def _fmt(x: float) -> str:
@@ -335,7 +340,8 @@ def _parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--inject-fault",
                 dest="fault",
-                help="test hook: corrupt a named subsystem (kernel-antisymmetry)",
+                choices=("kernel-antisymmetry",),
+                help="test hook: corrupt a named subsystem",
             )
     return parser
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import EnergyGrid
+from .kernel import cauchy_matrix
 
 HERMITICITY_TOL = 1e-12
 
@@ -53,14 +54,6 @@ class DiscreteOperator:
         return self.energies.size
 
 
-def _cauchy(energies: np.ndarray) -> np.ndarray:
-    diff = energies[:, None] - energies[None, :]
-    np.fill_diagonal(diff, 1.0)
-    rec = 1.0 / diff
-    np.fill_diagonal(rec, 0.0)
-    return rec
-
-
 def discretize_symmetric(grid: EnergyGrid) -> DiscreteOperator:
     """Matrix of twice-the-forward-operator minus identity on the grid.
 
@@ -69,7 +62,7 @@ def discretize_symmetric(grid: EnergyGrid) -> DiscreteOperator:
     symmetrized (weight-absorbed) coordinates, Hermitian for any weights.
     """
     sw = np.sqrt(grid.weights)
-    mat = (1j / np.pi) * (sw[:, None] * _cauchy(grid.nodes) * sw[None, :])
+    mat = (1j / np.pi) * (sw[:, None] * cauchy_matrix(grid.nodes, grid.nodes) * sw[None, :])
     return DiscreteOperator(grid.nodes, mat)
 
 
@@ -78,7 +71,7 @@ def galapon_T(energies) -> DiscreteOperator:
     e = np.asarray(energies, dtype=float)
     if np.unique(e).size != e.size:
         raise ValueError("energy levels must be distinct")
-    return DiscreteOperator(e, 1j * _cauchy(e))
+    return DiscreteOperator(e, 1j * cauchy_matrix(e, e))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,11 +16,12 @@ from scipy.interpolate import CubicSpline
 
 SpacingKind = Literal["linear", "logarithmic"]
 
-LOG_UNIFORMITY_TOL = 1e-12
+UNIFORMITY_TOL = 1e-12
 NORM_CONSERVATION_TOL = 1e-8
 
 __all__ = [
     "EnergyGrid",
+    "UnderresolvedGridError",
     "ChannelState",
     "MomentumState",
     "make_energy_grid",
@@ -34,6 +35,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
     return a
+
+
+class UnderresolvedGridError(ValueError):
+    """An energy grid too coarse to carry a state's norm."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +68,25 @@ class EnergyGrid:
             raise ValueError("quadrature weights must be positive")
         if not (0.0 < self.e_min < self.e_max):
             raise ValueError("need 0 < e_min < e_max")
-        if self.spacing_kind == "logarithmic":
-            u = np.log(self.nodes)
-            du = np.diff(u)
-            # tolerance on the u scale: recovering ln E from the stored nodes
-            # already costs eps * |ln E| of precision
-            tol = LOG_UNIFORMITY_TOL * max(1.0, float(np.max(np.abs(u))))
-            if np.max(np.abs(du - du[0])) > tol:
-                raise ValueError("logarithmic grid is not uniform in ln E")
+        if self.spacing_kind not in ("linear", "logarithmic"):
+            raise ValueError(f"unknown spacing_kind: {self.spacing_kind!r}")
+        # the Cauchy sum's FFT form needs steps uniform in the grid coordinate;
+        # the tolerance is the precision the stored nodes carry, eps * E_max
+        # on linear grids and eps * |ln E| on logarithmic ones
+        coord = self.coordinate
+        step = np.diff(coord)
+        scale = self.nodes[-1] if self.spacing_kind == "linear" else max(1.0, np.max(np.abs(coord)))
+        if np.max(np.abs(step - step[0])) > UNIFORMITY_TOL * scale:
+            raise ValueError(f"{self.spacing_kind} grid is not uniform in its coordinate")
 
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    @property
+    def coordinate(self) -> np.ndarray:
+        """The coordinate the nodes are uniform in: E, or u = ln E."""
+        return np.log(self.nodes) if self.spacing_kind == "logarithmic" else self.nodes
 
     @property
     def log_step(self) -> float:
@@ -232,7 +244,7 @@ def momentum_to_energy(state: MomentumState, grid: EnergyGrid) -> ChannelState:
     dens = CubicSpline(state.nodes, np.abs(state.values) ** 2)
     band = float(dens.integrate(p[0], p[-1]) + dens.integrate(-p[-1], -p[0]))
     if abs(out.norm_squared() - band) > NORM_CONSERVATION_TOL:
-        raise ValueError(
+        raise UnderresolvedGridError(
             "momentum -> energy map lost norm beyond tolerance "
             f"({out.norm_squared() - band:+.3e}); the energy grid is too coarse"
         )

@@ -3,9 +3,11 @@
 The operators share one singular kernel, 1/(E - E' +- i0+), split by the
 Sokhotski-Plemelj formula into a principal-value part and a delta part with
 coefficient 1/2.  Discretely the principal value becomes a skip-diagonal
-Cauchy matrix which is exactly antisymmetric once quadrature weights are
-folded in on both sides; that antisymmetry makes expectation values real and
-the forward/backward completeness identity exact at the matrix level.
+Cauchy sum, antisymmetric once quadrature weights are folded in on both
+sides; that antisymmetry makes expectation values real and the
+forward/backward completeness identity exact at the matrix level.  Every
+grid is uniform in its own coordinate, so the sum is a Toeplitz convolution
+applied by FFT; the dense form is kept for small sizes and as the reference.
 
 Expectation values additionally carry a diagonal-cell correction: the
 evolved kernel integrated exactly over each quadrature cell contributes
@@ -17,10 +19,12 @@ monotonicity holds to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.special import sici
 
 from .grids import ChannelState, EnergyGrid
@@ -37,6 +41,8 @@ __all__ = [
     "LyapunovTrace",
     "MonotonicityError",
     "build_kernel",
+    "cauchy_apply",
+    "cauchy_matrix",
     "mf_expectation",
     "mb_expectation",
     "expectation_trace",
@@ -63,27 +69,101 @@ class MonotonicityError(RuntimeError):
         )
 
 
-def _cauchy_offdiag_apply(nodes: np.ndarray, z: np.ndarray, block: int = 2048) -> np.ndarray:
-    """S_i = sum_{i' != i} z_{i'} / (nodes_i - nodes_{i'}) for columns of z."""
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[:, None]
-    zr = np.ascontiguousarray(z.real)
-    zi = np.ascontiguousarray(z.imag)
-    n = nodes.size
-    out = np.empty((n, z.shape[1]), dtype=complex)
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        diff = nodes[a:b, None] - nodes[None, :]
-        rng = np.arange(a, b)
-        diff[rng - a, rng] = 1.0
-        rec = 1.0 / diff
-        rec[rng - a, rng] = 0.0
-        out[a:b] = rec @ zr + 1j * (rec @ zi)
-    return out[:, 0] if squeeze else out
+# Node counts below which the dense product beats the FFT, for up to 32
+# vectors and for more (measured with one BLAS thread; see the README).
+_DENSE_BELOW_FEW, _DENSE_BELOW_MANY = 224, 1024
+# Node rounding makes the FFT's uniform-grid model err, in norm, by about
+# 0.62 x (step irregularity) / B once the B diagonals beside the main one are
+# summed from the nodes (measured).  B is chosen to hold that near 4e-13;
+# grids that would need more than _NEAR_MAX diagonals keep the dense form.
+_NEAR_UNIT, _NEAR_MAX = 6.5e-13, 32
+_FFT_BLOCK = 1 << 20  # float64 elements per FFT block, bounding temporaries
 
 
-CauchyApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
+def cauchy_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """1/(rows_i - cols_j), zero where the two nodes coincide."""
+    diff = rows[:, None] - cols[None, :]
+    same = diff == 0.0
+    diff[same] = 1.0
+    rec = 1.0 / diff
+    rec[same] = 0.0
+    return rec
+
+
+def _cauchy_dense(nodes: np.ndarray, z: np.ndarray, block: int = 512) -> np.ndarray:
+    """Reference skip-diagonal sum, one row block of cauchy_matrix at a time."""
+    zr, zi = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+    out = np.empty(z.shape, dtype=complex)
+    for a in range(0, nodes.size, block):
+        rec = cauchy_matrix(nodes[a : a + block], nodes).T
+        out[..., a : a + block] = zr @ rec + 1j * (zi @ rec)
+    return out
+
+
+def _near_width(grid: EnergyGrid) -> int:
+    """Diagonals beside the main one that the FFT form must sum from the nodes."""
+    coord = grid.coordinate
+    mean = (coord[-1] - coord[0]) / (grid.n - 1)
+    return math.ceil(np.max(np.abs(np.diff(coord) - mean)) / mean / _NEAR_UNIT)
+
+
+def _cauchy_toeplitz(grid: EnergyGrid, z: np.ndarray, near: int) -> np.ndarray:
+    """Skip-diagonal sum as a circulant-embedded FFT convolution.
+
+    On a grid uniform in its coordinate, 1/(E_i - E_j) = b(i - j) with the
+    odd kernel b(d) = 1/(d h) on linear grids.  On logarithmic ones it is
+    (b(i - j) - [j > i]) / E_j with b(d) = sign(d)/expm1(|d| du): scaling by
+    1/E_j alone, not by (E_i E_j)^-1/2, and summing the -1/E_j part as a
+    suffix sum keep FFT roundoff at the size of the result.  The `near`
+    diagonals beside the main one are summed from the nodes instead.  Real
+    and imaginary parts are transformed separately, so the sum commutes
+    with conjugation exactly.
+    """
+    e, n, coord = grid.nodes, grid.n, grid.coordinate
+    log = grid.spacing_kind == "logarithmic"
+    near = min(near, n - 1)
+    dist = np.arange(1.0, n) * (coord[-1] - coord[0]) / (n - 1)
+    odd = 1.0 / np.expm1(dist) if log else 1.0 / dist
+    odd[:near] = 0.0
+    size = next_fast_len(2 * n - 1, real=True)
+    kern = np.zeros(size)  # b(d) at index d, b(-d) at index size - d
+    kern[1:n], kern[: size - n : -1] = odd, -odd
+    kern_f = np.fft.rfft(kern)
+    parts = np.stack([z.real, z.imag])
+    if log:
+        parts /= e
+    flat = parts.reshape(-1, n)
+    rows = max(1, _FFT_BLOCK // size)
+    for a in range(0, flat.shape[0], rows):
+        x = flat[a : a + rows]
+        f = np.fft.rfft(x, size)
+        f *= kern_f
+        s = np.fft.irfft(f, size)[:, :n]
+        if log:  # -sum_{j > i + near} x_j
+            s[:, : n - near - 1] -= np.cumsum(x[:, :near:-1], axis=1)[:, ::-1]
+        flat[a : a + rows] = s
+    out = parts[0] + 1j * parts[1]
+    for k in range(1, near + 1):
+        rec = 1.0 / (e[k:] - e[:-k])
+        out[..., k:] += rec * z[..., :-k]
+        out[..., :-k] -= rec * z[..., k:]
+    return out
+
+
+def cauchy_apply(grid: EnergyGrid, z) -> np.ndarray:
+    """S_i = sum_{j != i} z_j / (E_i - E_j) along the last axis of z.
+
+    The FFT form applies past the measured size crossover on grids regular
+    enough for its accuracy bound, the dense form everywhere else.
+    """
+    z = np.asarray(z, dtype=complex)
+    crossover = _DENSE_BELOW_FEW if z.size <= 32 * grid.n else _DENSE_BELOW_MANY
+    if grid.n < crossover or (near := _near_width(grid)) > _NEAR_MAX:
+        return _cauchy_dense(grid.nodes, z)
+    return _cauchy_toeplitz(grid, z, near)
+
+
+CauchyApply = Callable[[EnergyGrid, np.ndarray], np.ndarray]
 
 
 def _gamma_cell(x: np.ndarray) -> np.ndarray:
@@ -132,7 +212,7 @@ class SingularKernel:
         complex conjugate, so forward + backward acts as the identity exactly.
         """
         v = np.asarray(amplitudes, dtype=complex)
-        s = _cauchy_offdiag_apply(self.grid.nodes, self.grid.weights * v)
+        s = cauchy_apply(self.grid, self.grid.weights * v)
         pv = s - v * self.pv_row_sums + v * self.endpoint_log
         sign = 1.0 if self.orientation == "forward" else -1.0
         return 0.5 * v + sign * (1j / (2.0 * np.pi)) * pv
@@ -145,7 +225,7 @@ class SingularKernel:
 def build_kernel(grid: EnergyGrid, orientation: Orientation = "forward") -> SingularKernel:
     if orientation not in ("forward", "backward"):
         raise ValueError(f"unknown orientation: {orientation!r}")
-    rows = _cauchy_offdiag_apply(grid.nodes, grid.weights.astype(complex)).real
+    rows = cauchy_apply(grid, grid.weights).real
     ell = np.zeros(grid.n)
     ell[1:-1] = np.log((grid.nodes[1:-1] - grid.nodes[0]) / (grid.nodes[-1] - grid.nodes[1:-1]))
     rows.setflags(write=False)
@@ -154,7 +234,7 @@ def build_kernel(grid: EnergyGrid, orientation: Orientation = "forward") -> Sing
 
 
 def _forward_values(
-    state: ChannelState, times: np.ndarray, cauchy: CauchyApply = _cauchy_offdiag_apply
+    state: ChannelState, times: np.ndarray, cauchy: CauchyApply = cauchy_apply
 ) -> tuple[np.ndarray, float]:
     """Forward expectation at each time via the Hermitian quadratic form, and
     the reality defect: max over times and channels of |Re<z, C z>| / 2pi for
@@ -164,17 +244,18 @@ def _forward_values(
     times = np.asarray(times, dtype=float)
     norm2 = state.norm_squared()
     vals = np.full(times.shape, 0.5 * norm2)
-    # diagonal-cell correction, shared across channels
+    # evolution phases and diagonal-cell correction, shared across channels
+    phase = np.exp(-1j * np.outer(times, e))
+    gamma = _gamma_cell(np.outer(w, times))
     cell = np.zeros(times.size)
     pv_imag = np.zeros(times.size)
     reality = 0.0
     for row in state.amplitudes:
-        z = (w * row)[:, None] * np.exp(-1j * np.outer(e, times))
-        s = cauchy(e, z)
-        pv = np.sum(np.conj(z) * s, axis=0)
+        z = (w * row) * phase
+        pv = np.sum(np.conj(z) * cauchy(grid, z), axis=1)
         pv_imag += pv.imag
         reality = max(reality, float(np.max(np.abs(pv.real), initial=0.0)))
-        cell += np.sum((w * np.abs(row) ** 2)[:, None] * _gamma_cell(np.outer(w, times)), axis=0)
+        cell += np.sum((w * np.abs(row) ** 2)[:, None] * gamma, axis=0)
     return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), reality / (2.0 * np.pi)
 
 
@@ -259,7 +340,7 @@ def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
 
 
 def antisymmetry_defect(
-    state: ChannelState, times, cauchy: CauchyApply = _cauchy_offdiag_apply
+    state: ChannelState, times, cauchy: CauchyApply = cauchy_apply
 ) -> float:
     """Worst |Re<psi(t)| C |psi(t)>| / 2pi over `times` for C = W Cauchy W.
 
@@ -271,16 +352,16 @@ def antisymmetry_defect(
 
 
 def pairing_defect(
-    grid: EnergyGrid, a, b, cauchy: CauchyApply = _cauchy_offdiag_apply
+    grid: EnergyGrid, a, b, cauchy: CauchyApply = cauchy_apply
 ) -> float:
     """|<a, C b> + <C a, b>| / (|a| |C b| + |C a| |b|) for C = W Cauchy W.
 
     Zero to roundoff when C is antisymmetric; `cauchy` as in antisymmetry_defect.
     """
-    w = grid.weights[:, None]
-    ab = np.stack([a, b], axis=1).astype(complex)
-    a, b = ab.T
-    ca, cb = (w * cauchy(grid.nodes, w * ab)).T
+    w = grid.weights
+    ab = np.stack([a, b]).astype(complex)
+    a, b = ab
+    ca, cb = w * cauchy(grid, w * ab)
     defect = abs(np.vdot(a, cb) + np.vdot(ca, b))
     scale = np.linalg.norm(a) * np.linalg.norm(cb) + np.linalg.norm(ca) * np.linalg.norm(b)
     return float(defect / scale) if scale > 0.0 else float(defect)
@@ -306,9 +387,7 @@ def mpc_commutator_defect(state: ChannelState) -> tuple[float, float]:
     # coordinates, so [M_F, D] = (1/2pi)(|a><u| - |u><a|) with a = M_F u lives
     # in span{u, a}; its spectral norm follows from the 2x2 restriction.
     sw = np.sqrt(w)
-    a = 0.5 * sw + (1j / (2.0 * np.pi)) * sw * _cauchy_offdiag_apply(
-        grid.nodes, (sw * sw).astype(complex)
-    )
+    a = 0.5 * sw + (1j / (2.0 * np.pi)) * sw * cauchy_apply(grid, w)
     uu = float(np.vdot(sw, sw).real)
     aa = float(np.vdot(a, a).real)
     ua = complex(np.vdot(sw, a))

@@ -86,6 +86,23 @@ def test_gaussian_only_command_rejects_exponential_before_work(
     assert "experiment" in capsys.readouterr().err
 
 
+def test_frames_rejects_linear_spacing_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(cfg):
+        raise AssertionError("state built before the config was checked")
+
+    monkeypatch.setattr(cli, "_build_state", no_work)
+    cfg = write_config(tmp_path, spacing="linear")
+    assert main(["frames", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "spacing" in capsys.readouterr().err
+
+
+def test_too_coarse_grid_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, spacing="linear", grid_n=1024)
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "grid_n" in err and "too coarse" in err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_m=4096)
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -190,6 +207,13 @@ def test_check_fault_injection_fails_antisymmetry(capsys):
     captured = capsys.readouterr()
     assert "FAIL  arrow_operator.antisymmetry" in captured.out
     assert "reality defect" in captured.out
+
+
+def test_check_rejects_unknown_fault(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--filter", "galapon", "--inject-fault", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_run_checks_filter_names(monkeypatch):

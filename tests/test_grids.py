@@ -54,6 +54,8 @@ def test_grid_invariant_validation():
         at.EnergyGrid(np.array([1.0, 3.0, 2.0]), np.ones(3), "linear", 1.0, 3.0)
     with pytest.raises(ValueError):
         at.EnergyGrid(np.array([1.0, 2.0, 4.1]), np.ones(3), "logarithmic", 1.0, 4.1)
+    with pytest.raises(ValueError, match="not uniform"):
+        at.EnergyGrid(np.array([1.0, 2.0, 3.1]), np.ones(3), "linear", 1.0, 3.1)
 
 
 def test_inner_product_normalization_and_zero(oracle_state):

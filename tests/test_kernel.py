@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arrowtime as at
-from arrowtime.kernel import _cauchy_offdiag_apply
+from arrowtime.kernel import (
+    _NEAR_MAX,
+    _cauchy_dense,
+    _cauchy_toeplitz,
+    _forward_values,
+    _near_width,
+    cauchy_apply,
+)
 
 
 def test_backward_kernel_is_conjugate(profile_grid):
@@ -26,14 +33,74 @@ def test_forward_plus_backward_acts_as_identity(profile_grid):
 
 
 def test_pv_matrix_antisymmetric_with_zero_diagonal():
-    # the dense principal-value matrix w_i w_j / (E_i - E_j) that the
-    # skip-diagonal Cauchy sum applies, read off column by column
+    # the principal-value matrix w_i w_j / (E_i - E_j), read off the dense
+    # reference form of the skip-diagonal Cauchy sum applied to the identity
     grid = at.make_energy_grid(0.5, 20.0, 128, "logarithmic")
     w = grid.weights
-    mat = np.outer(w, w) * _cauchy_offdiag_apply(grid.nodes, np.eye(grid.n)).real
+    mat = np.outer(w, w) * _cauchy_dense(grid.nodes, np.eye(grid.n)).real
     assert np.max(np.abs(mat + mat.T)) == 0.0
     assert np.all(np.diag(mat) == 0.0)
     assert at.build_kernel(grid, "forward").delta_coefficient == 0.5
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 1500),
+    columns=st.integers(1, 201),
+    spacing=st.sampled_from(["linear", "logarithmic"]),
+    log_e_min=st.floats(-10.0, 3.0),
+    log_span=st.floats(0.01, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1500, columns=3, spacing="logarithmic", log_e_min=3.0, log_span=0.01, seed=1)
+def test_fft_cauchy_matches_dense(n, columns, spacing, log_e_min, log_span, seed):
+    # the FFT form at every size, including those the dispatcher gives the
+    # dense form; grids too irregular for its node model are left to dense
+    grid = at.make_energy_grid(10.0**log_e_min, 10.0 ** (log_e_min + log_span), n, spacing)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(columns, n)) + 1j * rng.normal(size=(columns, n))
+    dense = _cauchy_dense(grid.nodes, z)
+    assert _relative_gap(cauchy_apply(grid, z), dense) <= 1e-12
+    if (near := _near_width(grid)) <= _NEAR_MAX:
+        assert _relative_gap(_cauchy_toeplitz(grid, z, near), dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        at.default_profile_grid(),
+        at.default_packet_grid(at.GaussianPacketParams(6.4, 3.0)),
+        at.default_spectral_grid(8192),
+    ],
+    ids=["profile", "packet", "spectral"],
+)
+def test_fft_cauchy_matches_dense_on_default_grids(grid):
+    # scaling the kernel by (E_i E_j)^-1/2 instead of 1/E_j fails this on
+    # the wide spectral grid
+    assert _near_width(grid) <= _NEAR_MAX  # the FFT form applies
+    rng = np.random.default_rng(8)
+    vectors = np.vstack(
+        [
+            rng.normal(size=(3, grid.n)) + 1j * rng.normal(size=(3, grid.n)),
+            at.eigenfunction(0.3, grid.nodes),
+        ]
+    )
+    for z in (vectors, grid.weights * vectors):
+        fast = cauchy_apply(grid, z)
+        assert _relative_gap(fast, _cauchy_dense(grid.nodes, z)) <= 1e-12
+        assert np.array_equal(cauchy_apply(grid, np.conj(z)), np.conj(fast))
+
+
+def test_fft_trace_matches_dense_trace(packet_state_fine, oracle_state):
+    times = np.linspace(-0.5, 0.5, 21)
+    for state in (packet_state_fine, oracle_state):
+        fast, _ = _forward_values(state, times)
+        dense, _ = _forward_values(state, times, lambda grid, z: _cauchy_dense(grid.nodes, z))
+        assert np.max(np.abs(fast - dense)) <= 1e-13
 
 
 def test_kernel_reproduces_eigenfunction_action():
