@@ -7,7 +7,8 @@ Cauchy sum, antisymmetric once quadrature weights are folded in on both
 sides; that antisymmetry makes expectation values real and the
 forward/backward completeness identity exact at the matrix level.  Every
 grid is uniform in its own coordinate, so the sum is a Toeplitz convolution
-applied by FFT; the dense form is kept for small sizes and as the reference.
+applied by FFT; the dense form is kept for grids too irregular for that
+and as the reference.
 
 Expectation values additionally carry a diagonal-cell correction: the
 evolved kernel integrated exactly over each quadrature cell contributes
@@ -69,13 +70,8 @@ class MonotonicityError(RuntimeError):
         )
 
 
-# Node counts below which the dense product beats the FFT, for up to 32
-# vectors and for more (measured with one BLAS thread; see the README).
-_DENSE_BELOW_FEW, _DENSE_BELOW_MANY = 224, 1024
-# Node rounding makes the FFT's uniform-grid model err, in norm, by about
-# 0.62 x (step irregularity) / B once the B diagonals beside the main one are
-# summed from the nodes (measured).  B is chosen to hold that near 4e-13;
-# grids that would need more than _NEAR_MAX diagonals keep the dense form.
+# Diagonals the FFT form sums from the nodes per unit of step irregularity,
+# and the most it may need before a grid keeps the dense form (see the README).
 _NEAR_UNIT, _NEAR_MAX = 6.5e-13, 32
 _FFT_BLOCK = 1 << 20  # float64 elements per FFT block, bounding temporaries
 
@@ -100,26 +96,21 @@ def _cauchy_dense(nodes: np.ndarray, z: np.ndarray, block: int = 512) -> np.ndar
     return out
 
 
-def _near_width(grid: EnergyGrid) -> int:
+def _near_width(coord: np.ndarray) -> int:
     """Diagonals beside the main one that the FFT form must sum from the nodes."""
-    coord = grid.coordinate
-    mean = (coord[-1] - coord[0]) / (grid.n - 1)
+    mean = (coord[-1] - coord[0]) / (coord.size - 1)
     return math.ceil(np.max(np.abs(np.diff(coord) - mean)) / mean / _NEAR_UNIT)
 
 
-def _cauchy_toeplitz(grid: EnergyGrid, z: np.ndarray, near: int) -> np.ndarray:
-    """Skip-diagonal sum as a circulant-embedded FFT convolution.
+def _cauchy_toeplitz(grid: EnergyGrid, z: np.ndarray, coord: np.ndarray, near: int) -> np.ndarray:
+    """Skip-diagonal sum as a circulant-embedded real-FFT convolution.
 
-    On a grid uniform in its coordinate, 1/(E_i - E_j) = b(i - j) with the
-    odd kernel b(d) = 1/(d h) on linear grids.  On logarithmic ones it is
-    (b(i - j) - [j > i]) / E_j with b(d) = sign(d)/expm1(|d| du): scaling by
-    1/E_j alone, not by (E_i E_j)^-1/2, and summing the -1/E_j part as a
-    suffix sum keep FFT roundoff at the size of the result.  The `near`
-    diagonals beside the main one are summed from the nodes instead.  Real
-    and imaginary parts are transformed separately, so the sum commutes
-    with conjugation exactly.
+    1/(E_i - E_j) is b(i - j) with b(d) = 1/(d h) on linear grids and
+    (b(i - j) - [j > i]) / E_j with b(d) = sign(d)/expm1(|d| du) on
+    logarithmic ones; the `near` diagonals beside the main one are summed
+    from the nodes.  The README's design notes give the reasons.
     """
-    e, n, coord = grid.nodes, grid.n, grid.coordinate
+    e, n = grid.nodes, grid.n
     log = grid.spacing_kind == "logarithmic"
     near = min(near, n - 1)
     dist = np.arange(1.0, n) * (coord[-1] - coord[0]) / (n - 1)
@@ -153,14 +144,15 @@ def _cauchy_toeplitz(grid: EnergyGrid, z: np.ndarray, near: int) -> np.ndarray:
 def cauchy_apply(grid: EnergyGrid, z) -> np.ndarray:
     """S_i = sum_{j != i} z_j / (E_i - E_j) along the last axis of z.
 
-    The FFT form applies past the measured size crossover on grids regular
-    enough for its accuracy bound, the dense form everywhere else.
+    The FFT form on grids regular enough for its accuracy bound, the dense
+    form on the others.
     """
     z = np.asarray(z, dtype=complex)
-    crossover = _DENSE_BELOW_FEW if z.size <= 32 * grid.n else _DENSE_BELOW_MANY
-    if grid.n < crossover or (near := _near_width(grid)) > _NEAR_MAX:
+    coord = grid.coordinate
+    near = _near_width(coord)
+    if near > _NEAR_MAX:
         return _cauchy_dense(grid.nodes, z)
-    return _cauchy_toeplitz(grid, z, near)
+    return _cauchy_toeplitz(grid, z, coord, near)
 
 
 CauchyApply = Callable[[EnergyGrid, np.ndarray], np.ndarray]

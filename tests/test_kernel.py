@@ -7,7 +7,6 @@ import arrowtime as at
 from arrowtime.kernel import (
     _NEAR_MAX,
     _cauchy_dense,
-    _cauchy_toeplitz,
     _forward_values,
     _near_width,
     cauchy_apply,
@@ -58,15 +57,13 @@ def _relative_gap(a, b):
 )
 @example(n=1500, columns=3, spacing="logarithmic", log_e_min=3.0, log_span=0.01, seed=1)
 def test_fft_cauchy_matches_dense(n, columns, spacing, log_e_min, log_span, seed):
-    # the FFT form at every size, including those the dispatcher gives the
-    # dense form; grids too irregular for its node model are left to dense
+    # the FFT form at every size; grids too irregular for its node model
+    # are left to the dense form
     grid = at.make_energy_grid(10.0**log_e_min, 10.0 ** (log_e_min + log_span), n, spacing)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(columns, n)) + 1j * rng.normal(size=(columns, n))
     dense = _cauchy_dense(grid.nodes, z)
     assert _relative_gap(cauchy_apply(grid, z), dense) <= 1e-12
-    if (near := _near_width(grid)) <= _NEAR_MAX:
-        assert _relative_gap(_cauchy_toeplitz(grid, z, near), dense) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -81,7 +78,7 @@ def test_fft_cauchy_matches_dense(n, columns, spacing, log_e_min, log_span, seed
 def test_fft_cauchy_matches_dense_on_default_grids(grid):
     # scaling the kernel by (E_i E_j)^-1/2 instead of 1/E_j fails this on
     # the wide spectral grid
-    assert _near_width(grid) <= _NEAR_MAX  # the FFT form applies
+    assert _near_width(grid.coordinate) <= _NEAR_MAX  # the FFT form applies
     rng = np.random.default_rng(8)
     vectors = np.vstack(
         [
