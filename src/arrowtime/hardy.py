@@ -30,18 +30,21 @@ __all__ = [
 TAIL_POWERS = np.array([1.5, 2.0, 3.0, 4.0])
 HORIZON_MAX = 32.0
 HORIZON_MASS_TOL = 9e-14
+_PHASE_BLOCK = 1 << 20  # complex elements per stack of block rows, bounding temporaries
 
 
 def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
-    """(1/2pi) integral e^{i E tau} psi_j(E) dE for each channel, no support cut."""
-    e, w = state.grid.nodes, state.grid.weights
-    out = np.empty((len(state.channels), taus.size), dtype=complex)
-    for j, row in enumerate(state.amplitudes):
-        z = w * row
-        for a in range(0, taus.size, 2048):
-            b = min(a + 2048, taus.size)
-            out[j, a:b] = z @ np.exp(1j * np.outer(e, taus[a:b]))
-    return out / (2.0 * np.pi)
+    """(1/2pi) integral e^{i E tau} psi_j(E) dE for each channel on the uniform
+    lattice `taus`, no support cut, by the phase factorisation in the README."""
+    e, z = state.grid.nodes, state.grid.weights * state.amplitudes
+    width = int(np.ceil(np.sqrt(taus.size)))  # lattice index k = m * width + r
+    table = np.exp(1j * np.outer(e, taus[:width] - taus[0]))
+    starts, step = taus[::width], max(1, _PHASE_BLOCK // z.size)
+    out = np.empty((z.shape[0], starts.size, width), dtype=complex)
+    for a in range(0, starts.size, step):
+        rows = z[:, None, :] * np.exp(1j * np.outer(starts[a : a + step], e))
+        out[:, a : a + step] = (rows.reshape(-1, e.size) @ table).reshape(z.shape[0], -1, width)
+    return out.reshape(z.shape[0], -1)[:, : taus.size] / (2.0 * np.pi)
 
 
 def forward_component(state: ChannelState, tau: float) -> np.ndarray:

@@ -1,8 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import arrowtime as at
+from arrowtime import hardy
 from conftest import arctan_trace
+
+
+def _direct_transform(state, taus):
+    """sum_i w_i psi_j(E_i) e^{i E_i tau} / 2pi, one exponential per (node, tau)."""
+    z = state.grid.weights * state.amplitudes
+    return z @ np.exp(1j * np.outer(state.grid.nodes, taus)) / (2.0 * np.pi)
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 def test_forward_component_vanishes_at_positive_delay(oracle_state):
@@ -85,3 +100,53 @@ def test_sample_forward_component(oracle_state):
     got = np.array([at.forward_component(oracle_state, float(tau))[0] for tau in taus])
     expected = np.sqrt(2.0) / (2.0 * np.pi * (1.0 - 1j * taus))
     assert np.max(np.abs(got - expected)) < 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    channels=st.sampled_from([1, 2]),
+    spacing=st.sampled_from(["linear", "logarithmic"]),
+    log_e_max=st.floats(-2.0, 2.0),
+    log_span=st.floats(0.01, 12.0),
+    count=st.one_of(st.sampled_from([1, 2, 3, 7, 61, 1009, 2003]), st.integers(1, 2500)),
+    ends=st.tuples(
+        st.floats(-hardy.HORIZON_MAX, hardy.HORIZON_MAX),
+        st.floats(-hardy.HORIZON_MAX, hardy.HORIZON_MAX),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    n=400, channels=2, spacing="linear", log_e_max=2.0, log_span=1.0, count=2003,
+    ends=(-hardy.HORIZON_MAX, hardy.HORIZON_MAX), seed=0,
+)
+def test_factored_transform_matches_direct_sum(
+    n, channels, spacing, log_e_max, log_span, count, ends, seed
+):
+    # e_max <= 100: both sums round their phases by about eps |E tau|, so the
+    # gap between them grows with e_max * |tau| (see the README)
+    grid = at.make_energy_grid(10.0 ** (log_e_max - log_span), 10.0**log_e_max, n, spacing)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(channels, n)) + 1j * rng.normal(size=(channels, n))
+    state = at.ChannelState(grid, ("+", "-")[:channels], amps)
+    taus = np.linspace(min(ends), max(ends), count)
+    assert _relative_gap(hardy._half_line_transform(state, taus), _direct_transform(state, taus)) <= 1e-12
+
+
+def test_factored_transform_on_oracle_lattice(packet_params):
+    state = at.gaussian_channel_state(packet_params)
+    taus = hardy._OracleDensity(state).taus
+    assert _relative_gap(hardy._half_line_transform(state, taus), _direct_transform(state, taus)) <= 1e-12
+
+
+def test_transform_chunking_leaves_values_unchanged(monkeypatch):
+    grid = at.default_profile_grid(256)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
+    state = at.ChannelState(grid, ("+", "-"), amps)
+    taus = np.linspace(-hardy.HORIZON_MAX, hardy.HORIZON_MAX, 100_003)
+    whole = hardy._half_line_transform(state, taus)  # one stack of block rows
+    monkeypatch.setattr(hardy, "_PHASE_BLOCK", 8 * amps.size)  # 8 block rows per stack
+    starts = math.ceil(taus.size / math.ceil(math.sqrt(taus.size)))
+    assert starts <= (1 << 20) // amps.size and math.ceil(starts / 8) == 40
+    assert _relative_gap(hardy._half_line_transform(state, taus), whole) <= 1e-12
