@@ -19,12 +19,13 @@ import numpy as np
 
 from .checks import run_checks
 from .galapon import discretize_symmetric, galapon_T, lyapunov_violation_witness
-from .grids import EnergyGrid, UnderresolvedGridError, make_energy_grid
+from .grids import EnergyGrid, UncoveredGridError, UnderresolvedGridError, make_energy_grid
 from .hardy import mf_expectation_oracle
 from .kernel import MonotonicityError, lyapunov_trace, mf_expectation
 from .mrep import make_m_grid, to_m_representation
 from .scattering import asymptotic_overlap, delta_model, equivalence_defect
 from .states import (
+    PROFILE_ENERGY_RANGE,
     GaussianPacketParams,
     evolve,
     exponential_profile,
@@ -136,16 +137,11 @@ def _packet_params(cfg: RunConfig) -> GaussianPacketParams:
 
 def _build_grid(cfg: RunConfig) -> EnergyGrid:
     if cfg.experiment == "gaussian":
-        params = _packet_params(cfg)
-        e_min = cfg.e_min if cfg.e_min is not None else 1e-6 * params.e_char
-        e_max = (
-            cfg.e_max
-            if cfg.e_max is not None
-            else (abs(cfg.p0) + 5.0 * cfg.xi0) ** 2 / (2.0 * cfg.mu)
-        )
+        e_min, e_max = _packet_params(cfg).energy_range
     else:
-        e_min = cfg.e_min if cfg.e_min is not None else 1e-12
-        e_max = cfg.e_max if cfg.e_max is not None else 42.0
+        e_min, e_max = PROFILE_ENERGY_RANGE
+    e_min = e_min if cfg.e_min is None else cfg.e_min
+    e_max = e_max if cfg.e_max is None else cfg.e_max
     return make_energy_grid(e_min, e_max, cfg.grid_n, cfg.spacing)
 
 
@@ -157,6 +153,8 @@ def _build_state(cfg: RunConfig):
         return gaussian_channel_state(_packet_params(cfg), grid)
     except UnderresolvedGridError as exc:
         raise ConfigError("grid_n", str(exc)) from exc
+    except UncoveredGridError as exc:
+        raise ConfigError("e_max", str(exc)) from exc
 
 
 def _fmt(x: float) -> str:

@@ -22,6 +22,7 @@ NORM_CONSERVATION_TOL = 1e-8
 __all__ = [
     "EnergyGrid",
     "UnderresolvedGridError",
+    "UncoveredGridError",
     "ChannelState",
     "MomentumState",
     "make_energy_grid",
@@ -39,6 +40,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class UnderresolvedGridError(ValueError):
     """An energy grid too coarse to carry a state's norm."""
+
+
+class UncoveredGridError(ValueError):
+    """An energy grid reaching past the momentum grid a state is sampled on."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +241,7 @@ def momentum_to_energy(state: MomentumState, grid: EnergyGrid) -> ChannelState:
     mu = state.mu
     p = np.sqrt(2.0 * mu * grid.nodes)
     if p[-1] > state.p_max + 1e-12:
-        raise ValueError("energy grid reaches beyond the momentum grid coverage")
+        raise UncoveredGridError("energy grid reaches beyond the momentum grid coverage")
     plus = np.sqrt(mu / p) * _sample_complex(state.nodes, state.values, p)
     minus = np.sqrt(mu / p) * _sample_complex(state.nodes, state.values, -p)
     out = ChannelState(grid, ("+", "-"), np.vstack([plus, minus]), mu)

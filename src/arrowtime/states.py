@@ -21,6 +21,8 @@ __all__ = [
     "random_smooth_state",
 ]
 
+PROFILE_ENERGY_RANGE = (1e-12, 42.0)
+
 
 @dataclass(frozen=True)
 class GaussianPacketParams:
@@ -39,6 +41,12 @@ class GaussianPacketParams:
     @property
     def e_char(self) -> float:
         return self.p0**2 / (2.0 * self.mu)
+
+    @property
+    def energy_range(self) -> tuple[float, float]:
+        """Default grid range: e_min = 1e-6 E_char, e_max at the point where
+        the truncated high-momentum mass is below 1e-12."""
+        return 1e-6 * self.e_char, (abs(self.p0) + 5.0 * self.xi0) ** 2 / (2.0 * self.mu)
 
 
 def gaussian_momentum_state(
@@ -63,11 +71,8 @@ def gaussian_momentum_state(
 
 
 def default_packet_grid(params: GaussianPacketParams, n: int = 4096) -> EnergyGrid:
-    """Logarithmic grid tailored to a packet: e_min = 1e-6 E_char, e_max at the
-    point where the truncated high-momentum mass is below 1e-12."""
-    e_min = 1e-6 * params.e_char
-    e_max = (abs(params.p0) + 5.0 * params.xi0) ** 2 / (2.0 * params.mu)
-    return make_energy_grid(e_min, e_max, n, "logarithmic")
+    """Logarithmic grid over the packet's `energy_range`."""
+    return make_energy_grid(*params.energy_range, n, "logarithmic")
 
 
 def gaussian_channel_state(
@@ -99,7 +104,7 @@ def gaussian_position_density(
 def default_profile_grid(n: int = 4096) -> EnergyGrid:
     """Grid for unit-decay-rate profiles: wide enough that the truncated tails
     of exp(-E) profiles sit below 1e-11 in squared norm."""
-    return make_energy_grid(1e-12, 42.0, n, "logarithmic")
+    return make_energy_grid(*PROFILE_ENERGY_RANGE, n, "logarithmic")
 
 
 def exponential_profile(grid: EnergyGrid | None = None, n: int = 4096) -> ChannelState:

@@ -103,6 +103,13 @@ def test_too_coarse_grid_is_a_config_error(tmp_path, capsys):
     assert "grid_n" in err and "too coarse" in err
 
 
+def test_uncovered_energy_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, e_max=1000.0, t_count=3, grid_n=512)
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "e_max" in err and "coverage" in err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_m=4096)
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erfc
 
 import arrowtime as at
+from arrowtime.grids import UncoveredGridError
 
 
 def test_log_grid_spacing_matches_definition():
@@ -139,7 +140,7 @@ def test_momentum_to_energy_rejects_uncovered_grid():
     params = at.GaussianPacketParams(8.0, 1.0)
     mom = at.gaussian_momentum_state(params)
     wide = at.make_energy_grid(1e-6, 2.0 * mom.p_max**2, 512, "logarithmic")
-    with pytest.raises(ValueError):
+    with pytest.raises(UncoveredGridError):
         at.momentum_to_energy(mom, wide)
 
 
