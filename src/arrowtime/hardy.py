@@ -39,11 +39,11 @@ def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
     e, z = state.grid.nodes, state.grid.weights * state.amplitudes
     width = int(np.ceil(np.sqrt(taus.size)))  # lattice index k = m * width + r
     table = np.exp(1j * np.outer(e, taus[:width] - taus[0]))
-    starts, step = taus[::width], max(1, _PHASE_BLOCK // z.size)
+    starts, stack = taus[::width], max(1, _PHASE_BLOCK // z.size)
     out = np.empty((z.shape[0], starts.size, width), dtype=complex)
-    for a in range(0, starts.size, step):
-        rows = z[:, None, :] * np.exp(1j * np.outer(starts[a : a + step], e))
-        out[:, a : a + step] = (rows.reshape(-1, e.size) @ table).reshape(z.shape[0], -1, width)
+    for a in range(0, starts.size, stack):
+        rows = z[:, None, :] * np.exp(1j * np.outer(starts[a : a + stack], e))
+        out[:, a : a + stack] = (rows.reshape(-1, e.size) @ table).reshape(z.shape[0], -1, width)
     return out.reshape(z.shape[0], -1)[:, : taus.size] / (2.0 * np.pi)
 
 

@@ -16,8 +16,10 @@ def _direct_transform(state, taus):
     return z @ np.exp(1j * np.outer(state.grid.nodes, taus)) / (2.0 * np.pi)
 
 
-def _relative_gap(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
+def _gap_to_direct(state, taus):
+    """Normwise relative gap of the factored transform to the direct sum."""
+    direct = _direct_transform(state, taus)
+    return np.linalg.norm(hardy._half_line_transform(state, taus) - direct) / np.linalg.norm(direct)
 
 
 def test_forward_component_vanishes_at_positive_delay(oracle_state):
@@ -116,10 +118,7 @@ def test_sample_forward_component(oracle_state):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(
-    n=400, channels=2, spacing="linear", log_e_max=2.0, log_span=1.0, count=2003,
-    ends=(-hardy.HORIZON_MAX, hardy.HORIZON_MAX), seed=0,
-)
+@example(400, 2, "linear", 2.0, 1.0, 2003, (-hardy.HORIZON_MAX, hardy.HORIZON_MAX), 0)
 def test_factored_transform_matches_direct_sum(
     n, channels, spacing, log_e_max, log_span, count, ends, seed
 ):
@@ -130,13 +129,12 @@ def test_factored_transform_matches_direct_sum(
     amps = rng.normal(size=(channels, n)) + 1j * rng.normal(size=(channels, n))
     state = at.ChannelState(grid, ("+", "-")[:channels], amps)
     taus = np.linspace(min(ends), max(ends), count)
-    assert _relative_gap(hardy._half_line_transform(state, taus), _direct_transform(state, taus)) <= 1e-12
+    assert _gap_to_direct(state, taus) <= 1e-12
 
 
 def test_factored_transform_on_oracle_lattice(packet_params):
     state = at.gaussian_channel_state(packet_params)
-    taus = hardy._OracleDensity(state).taus
-    assert _relative_gap(hardy._half_line_transform(state, taus), _direct_transform(state, taus)) <= 1e-12
+    assert _gap_to_direct(state, hardy._OracleDensity(state).taus) <= 1e-12
 
 
 def test_transform_chunking_leaves_values_unchanged(monkeypatch):
@@ -145,8 +143,9 @@ def test_transform_chunking_leaves_values_unchanged(monkeypatch):
     amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
     state = at.ChannelState(grid, ("+", "-"), amps)
     taus = np.linspace(-hardy.HORIZON_MAX, hardy.HORIZON_MAX, 100_003)
-    whole = hardy._half_line_transform(state, taus)  # one stack of block rows
-    monkeypatch.setattr(hardy, "_PHASE_BLOCK", 8 * amps.size)  # 8 block rows per stack
-    starts = math.ceil(taus.size / math.ceil(math.sqrt(taus.size)))
-    assert starts <= (1 << 20) // amps.size and math.ceil(starts / 8) == 40
-    assert _relative_gap(hardy._half_line_transform(state, taus), whole) <= 1e-12
+    starts = math.ceil(taus.size / math.ceil(math.sqrt(taus.size)))  # 316 block rows
+    assert starts * amps.size <= hardy._PHASE_BLOCK  # one stack
+    whole = hardy._half_line_transform(state, taus)
+    monkeypatch.setattr(hardy, "_PHASE_BLOCK", 8 * amps.size)  # 40 stacks of 8 rows
+    chunked = hardy._half_line_transform(state, taus)
+    assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
