@@ -30,7 +30,6 @@ __all__ = [
 TAIL_POWERS = np.array([1.5, 2.0, 3.0, 4.0])
 HORIZON_MAX = 32.0
 HORIZON_MASS_TOL = 9e-14
-_PHASE_BLOCK = 1 << 20  # complex elements per stack of block rows, bounding temporaries
 
 
 def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
@@ -39,12 +38,9 @@ def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
     e, z = state.grid.nodes, state.grid.weights * state.amplitudes
     width = int(np.ceil(np.sqrt(taus.size)))  # lattice index k = m * width + r
     table = np.exp(1j * np.outer(e, taus[:width] - taus[0]))
-    starts, stack = taus[::width], max(1, _PHASE_BLOCK // z.size)
-    out = np.empty((z.shape[0], starts.size, width), dtype=complex)
-    for a in range(0, starts.size, stack):
-        rows = z[:, None, :] * np.exp(1j * np.outer(starts[a : a + stack], e))
-        out[:, a : a + stack] = (rows.reshape(-1, e.size) @ table).reshape(z.shape[0], -1, width)
-    return out.reshape(z.shape[0], -1)[:, : taus.size] / (2.0 * np.pi)
+    rows = z[:, None, :] * np.exp(1j * np.outer(taus[::width], e))
+    f = (rows.reshape(-1, e.size) @ table).reshape(z.shape[0], -1)
+    return f[:, : taus.size] / (2.0 * np.pi)
 
 
 def forward_component(state: ChannelState, tau: float) -> np.ndarray:

@@ -44,8 +44,7 @@ class GaussianPacketParams:
 
     @property
     def energy_range(self) -> tuple[float, float]:
-        """Default grid range: e_min = 1e-6 E_char, e_max at the point where
-        the truncated high-momentum mass is below 1e-12."""
+        """Default grid range: 1e-6 E_char up to where the cut momentum mass < 1e-12."""
         return 1e-6 * self.e_char, (abs(self.p0) + 5.0 * self.xi0) ** 2 / (2.0 * self.mu)
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,17 +133,3 @@ def test_factored_transform_matches_direct_sum(
 def test_factored_transform_on_oracle_lattice(packet_params):
     state = at.gaussian_channel_state(packet_params)
     assert _gap_to_direct(state, hardy._OracleDensity(state).taus) <= 1e-12
-
-
-def test_transform_chunking_leaves_values_unchanged(monkeypatch):
-    grid = at.default_profile_grid(256)
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
-    state = at.ChannelState(grid, ("+", "-"), amps)
-    taus = np.linspace(-hardy.HORIZON_MAX, hardy.HORIZON_MAX, 100_003)
-    starts = math.ceil(taus.size / math.ceil(math.sqrt(taus.size)))  # 316 block rows
-    assert starts * amps.size <= hardy._PHASE_BLOCK  # one stack
-    whole = hardy._half_line_transform(state, taus)
-    monkeypatch.setattr(hardy, "_PHASE_BLOCK", 8 * amps.size)  # 40 stacks of 8 rows
-    chunked = hardy._half_line_transform(state, taus)
-    assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
