@@ -348,7 +348,7 @@ def check_equivalence_defect(ctx: _Ctx):
 def check_asymptotic_overlap(ctx: _Ctx):
     state = ctx.packet()
     model = delta_model(2.0)
-    overlaps = [asymptotic_overlap(state, model, t) for t in (-5.0, -10.0, -20.0, -50.0)]
+    overlaps = asymptotic_overlap(state, model, [-5.0, -10.0, -20.0, -50.0]).tolist()
     for early, late in zip(overlaps, overlaps[1:]):
         assert late >= early - 1e-3, f"overlap not converging: {overlaps}"
     assert overlaps[-1] > 0.99, f"overlap(-50) = {overlaps[-1]:.6f}"

@@ -96,10 +96,11 @@ class RunConfig:
             raise ConfigError("t_count", "must be nonnegative")
         if self.t_count >= 2 and not self.t1 > self.t0:
             raise ConfigError("t1", "must exceed t0")
-        if self.e_min is not None and self.e_min <= 0:
-            raise ConfigError("e_min", "must be positive")
         if self.e_min is not None and self.e_max is not None and self.e_max <= self.e_min:
             raise ConfigError("e_max", "must exceed e_min")
+        e_min, e_max = self.energy_range()
+        if not 0.0 < e_min < e_max:
+            raise ConfigError("e_min", f"resolved [{e_min:g}, {e_max:g}] needs 0 < e_min < e_max")
         if self.m_size < 2 * self.grid_n:
             raise ConfigError("m_size", "must be at least twice grid_n")
         if not (0.0 < self.m_emit_floor < 0.5):
@@ -130,19 +131,19 @@ class RunConfig:
     def resolved(self) -> dict:
         return asdict(self)
 
+    def energy_range(self) -> tuple[float, float]:
+        """(e_min, e_max) with unset ends taken from the experiment's default range."""
+        gaussian = self.experiment == "gaussian"
+        lo, hi = _packet_params(self).energy_range if gaussian else PROFILE_ENERGY_RANGE
+        return (lo if self.e_min is None else self.e_min, hi if self.e_max is None else self.e_max)
+
 
 def _packet_params(cfg: RunConfig) -> GaussianPacketParams:
     return GaussianPacketParams(cfg.p0, cfg.xi0, cfg.mu)
 
 
 def _build_grid(cfg: RunConfig) -> EnergyGrid:
-    if cfg.experiment == "gaussian":
-        e_min, e_max = _packet_params(cfg).energy_range
-    else:
-        e_min, e_max = PROFILE_ENERGY_RANGE
-    e_min = e_min if cfg.e_min is None else cfg.e_min
-    e_max = e_max if cfg.e_max is None else cfg.e_max
-    return make_energy_grid(e_min, e_max, cfg.grid_n, cfg.spacing)
+    return make_energy_grid(*cfg.energy_range(), cfg.grid_n, cfg.spacing)
 
 
 def _build_state(cfg: RunConfig):
@@ -268,8 +269,9 @@ def cmd_equiv(cfg: RunConfig, out_path: str) -> int:
     for lam in cfg.lambdas:
         model = delta_model(float(lam), cfg.mu)
         defect = equivalence_defect(state, model)
-        for t in cfg.overlap_times:
-            emitter.row(lam, defect, t, asymptotic_overlap(state, model, float(t)))
+        overlaps = asymptotic_overlap(state, model, cfg.overlap_times)
+        for t, overlap in zip(cfg.overlap_times, overlaps):
+            emitter.row(lam, defect, t, overlap)
     emitter.write(out_path)
     return 0
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+from .numerics import CubicSpline
 
 SpacingKind = Literal["linear", "logarithmic"]
 
@@ -224,12 +225,6 @@ def inner_product(a: ChannelState, b: ChannelState) -> complex:
     return complex(np.sum(a.grid.weights * np.conj(a.amplitudes) * b.amplitudes))
 
 
-def _sample_complex(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    re = CubicSpline(x, y.real)
-    im = CubicSpline(x, y.imag)
-    return re(xq) + 1j * im(xq)
-
-
 def momentum_to_energy(state: MomentumState, grid: EnergyGrid) -> ChannelState:
     """Split psi~(p) into direction channels on the energy half-line.
 
@@ -242,8 +237,9 @@ def momentum_to_energy(state: MomentumState, grid: EnergyGrid) -> ChannelState:
     p = np.sqrt(2.0 * mu * grid.nodes)
     if p[-1] > state.p_max + 1e-12:
         raise UncoveredGridError("energy grid reaches beyond the momentum grid coverage")
-    plus = np.sqrt(mu / p) * _sample_complex(state.nodes, state.values, p)
-    minus = np.sqrt(mu / p) * _sample_complex(state.nodes, state.values, -p)
+    spline = CubicSpline(state.nodes, state.values)
+    plus = np.sqrt(mu / p) * spline(p)
+    minus = np.sqrt(mu / p) * spline(-p)
     out = ChannelState(grid, ("+", "-"), np.vstack([plus, minus]), mu)
 
     dens = CubicSpline(state.nodes, np.abs(state.values) ** 2)

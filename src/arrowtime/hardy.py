@@ -15,10 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .grids import ChannelState
+from .numerics import CubicSpline, cumulative_simpson
 
 __all__ = [
     "forward_component",
@@ -91,7 +90,7 @@ class _OracleDensity:
         dens = 2.0 * np.pi * np.sum(np.abs(f) ** 2, axis=0)
         self.taus = taus
         self.density = dens
-        cum = cumulative_simpson(dens, x=taus, initial=0.0)
+        cum = cumulative_simpson(dens, self.t0 / half)
         self._cum = CubicSpline(taus, cum)
         self._tails = {side: self._fit_tail(side) for side in (-1, +1)}
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import sici
 
 from .grids import ChannelState, EnergyGrid
+from .numerics import gamma_cell, next_fast_len
 
 Orientation = Literal["forward", "backward"]
 
@@ -158,22 +157,6 @@ def cauchy_apply(grid: EnergyGrid, z) -> np.ndarray:
 CauchyApply = Callable[[EnergyGrid, np.ndarray], np.ndarray]
 
 
-def _gamma_cell(x: np.ndarray) -> np.ndarray:
-    """2 Si(x) - 2(1 - cos x)/x: exact cell average of the evolved diagonal.
-
-    Odd in x, ~ x - x^3/36 near zero, saturating at +-pi for large |x|.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = xs - xs**3 / 36.0
-    xl = x[~small]
-    si = sici(xl)[0]
-    out[~small] = 2.0 * si - 2.0 * (1.0 - np.cos(xl)) / xl
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SingularKernel:
     """Discrete Plemelj split of one orientation of the arrow kernel.
@@ -238,7 +221,7 @@ def _forward_values(
     vals = np.full(times.shape, 0.5 * norm2)
     # evolution phases and diagonal-cell correction, shared across channels
     phase = np.exp(-1j * np.outer(times, e))
-    gamma = _gamma_cell(np.outer(w, times))
+    gamma = gamma_cell(np.outer(w, times))
     cell = np.zeros(times.size)
     pv_imag = np.zeros(times.size)
     reality = 0.0

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .grids import ChannelState, EnergyGrid, make_energy_grid
 from .kernel import SingularKernel, build_kernel
+from .numerics import next_fast_len
 from .states import evolve
 
 __all__ = [

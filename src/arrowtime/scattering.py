@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.interpolate import CubicSpline
 
 from .grids import ChannelState
+from .numerics import CubicSpline, next_fast_len
 
 __all__ = [
     "ScatteringModel",
@@ -141,22 +140,21 @@ def _fine_momentum_resample(state: ChannelState, n_p: int) -> tuple[np.ndarray, 
     out = np.zeros(q.size, dtype=complex)
     for sign, label in ((+1, "+"), (-1, "-")):
         row = state.channel(label)
-        re = CubicSpline(u, row.real)
-        im = CubicSpline(u, row.imag)
+        spline = CubicSpline(u, row)
         sel = (np.sign(q) == sign) & (np.abs(q) > p_lo)
         mag = np.abs(q[sel])
         uu = np.log(mag**2 / (2.0 * mu))
-        out[sel] = np.sqrt(mag / mu) * (re(uu) + 1j * im(uu))
+        out[sel] = np.sqrt(mag / mu) * spline(uu)
     return q, out
 
 
 def asymptotic_overlap(
     state: ChannelState,
     model: ScatteringModel,
-    t: float,
+    times,
     n_p: int = 65536,
     window_sigmas: float = 12.0,
-) -> float:
+):
     """|<psi_free(t) | psi_int(t)>|^2 from position-space reconstructions.
 
     Both wavefunctions are synthesized on a window around the drifted packet
@@ -165,57 +163,61 @@ def asymptotic_overlap(
     eigenfunctions with the model's reflection/transmission amplitudes.  The
     synthesis runs over a fine uniform momentum lattice so the x lattice can
     be generated by FFT with no quadrature aliasing.  The overlap is
-    normalized by the window norms; it tends to one as t -> -infinity.
+    normalized by the window norms; it tends to one as t -> -infinity.  One
+    overlap per entry of `times`, from one momentum resample; float for a scalar.
     """
-    if t >= 0.0:
+    ts = np.asarray(times, dtype=float)
+    if np.any(ts >= 0.0):
         raise ValueError("the shared-asymptote check looks at t < 0")
     mu = state.mu
     q, amp = _fine_momentum_resample(state, n_p)
     dq = q[1] - q[0]
-    coef = amp * np.exp(-1j * q**2 * t / (2.0 * mu))
-
     dens = np.abs(amp) ** 2 * dq
     p_mean = float(np.sum(dens * q))
     p_var = float(np.sum(dens * (q - p_mean) ** 2))
     sigma_p = max(np.sqrt(p_var), 1e-12)
-    x_center = p_mean * t / mu
-    sigma_x = np.hypot(1.0 / (2.0 * sigma_p), sigma_p * t / mu)
-    x_lo = x_center - window_sigmas * sigma_x
-    x_hi = x_center + window_sigmas * sigma_x
-
-    dx_target = min(np.pi / (2.0 * q[-1]), sigma_x / 64.0)
-    length = next_fast_len(int(np.ceil(2.0 * np.pi / (dq * dx_target))))
-    dx = 2.0 * np.pi / (dq * length)
-    j_lo = int(np.floor(x_lo / dx))
-    j_hi = int(np.ceil(x_hi / dx))
-    if j_hi - j_lo + 1 >= length:
-        raise ValueError("spatial window exceeds the synthesis period; raise n_p")
-    x = dx * np.arange(j_lo, j_hi + 1)
-    idx = np.arange(j_lo, j_hi + 1) % length
-    bins = np.round(q / dq).astype(int) % length
-
-    def synthesize(c: np.ndarray) -> np.ndarray:
-        spec = np.zeros(length, dtype=complex)
-        spec[bins] = c
-        wave = np.fft.ifft(spec) * length * dq / np.sqrt(2.0 * np.pi)
-        return wave[idx]
-
     tau = model.transmission(np.abs(q))
     refl = model.reflection(np.abs(q))
-    flipped = coef[::-1]  # coefficient at -q on the symmetric lattice
     pos, neg = q > 0, q < 0
+    overlaps = []
+    for t in ts.flat:
+        coef = amp * np.exp(-1j * q**2 * t / (2.0 * mu))
+        x_center = p_mean * t / mu
+        sigma_x = np.hypot(1.0 / (2.0 * sigma_p), sigma_p * t / mu)
+        x_lo = x_center - window_sigmas * sigma_x
+        x_hi = x_center + window_sigmas * sigma_x
 
-    psi_free = synthesize(coef)
-    left = coef.copy()
-    left[neg] = coef[neg] * tau[neg] + flipped[neg] * refl[neg]
-    right = coef.copy()
-    right[pos] = coef[pos] * tau[pos] + flipped[pos] * refl[pos]
-    psi_int = np.where(x < 0.0, synthesize(left), synthesize(right))
+        dx_target = min(np.pi / (2.0 * q[-1]), sigma_x / 64.0)
+        length = next_fast_len(int(np.ceil(2.0 * np.pi / (dq * dx_target))))
+        dx = 2.0 * np.pi / (dq * length)
+        j_lo = int(np.floor(x_lo / dx))
+        j_hi = int(np.ceil(x_hi / dx))
+        if j_hi - j_lo + 1 >= length:
+            raise ValueError("spatial window exceeds the synthesis period; raise n_p")
+        x = dx * np.arange(j_lo, j_hi + 1)
+        idx = np.arange(j_lo, j_hi + 1) % length
+        bins = np.round(q / dq).astype(int) % length
 
-    wx = np.full(x.size, dx)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    cross = np.sum(wx * np.conj(psi_free) * psi_int)
-    n_free = np.sum(wx * np.abs(psi_free) ** 2)
-    n_int = np.sum(wx * np.abs(psi_int) ** 2)
-    return float(np.abs(cross) ** 2 / (n_free * n_int))
+        def synthesize(c: np.ndarray) -> np.ndarray:
+            spec = np.zeros(length, dtype=complex)
+            spec[bins] = c
+            wave = np.fft.ifft(spec) * length * dq / np.sqrt(2.0 * np.pi)
+            return wave[idx]
+
+        flipped = coef[::-1]  # coefficient at -q on the symmetric lattice
+
+        psi_free = synthesize(coef)
+        left = coef.copy()
+        left[neg] = coef[neg] * tau[neg] + flipped[neg] * refl[neg]
+        right = coef.copy()
+        right[pos] = coef[pos] * tau[pos] + flipped[pos] * refl[pos]
+        psi_int = np.where(x < 0.0, synthesize(left), synthesize(right))
+
+        wx = np.full(x.size, dx)
+        wx[0] *= 0.5
+        wx[-1] *= 0.5
+        cross = np.sum(wx * np.conj(psi_free) * psi_int)
+        n_free = np.sum(wx * np.abs(psi_free) ** 2)
+        n_int = np.sum(wx * np.abs(psi_int) ** 2)
+        overlaps.append(float(np.abs(cross) ** 2 / (n_free * n_int)))
+    return overlaps[0] if ts.ndim == 0 else np.array(overlaps)

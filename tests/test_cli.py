@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arrowtime
 from arrowtime import checks, cli
 from arrowtime.cli import main
 from conftest import arctan_trace
@@ -108,6 +113,16 @@ def test_uncovered_energy_range_is_a_config_error(tmp_path, capsys):
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "e_max" in err and "coverage" in err
+
+
+@pytest.mark.parametrize("overrides", [{"p0": 0.0}, {"e_min": 300.0}])
+def test_uncovered_resolved_range_is_a_config_error(tmp_path, capsys, monkeypatch, overrides):
+    # the default e_min is 0 when p0 = 0, and e_min = 300 lies above the default e_max
+    monkeypatch.setattr(cli, "_build_state", lambda cfg: pytest.fail("work started"))
+    cfg = write_config(tmp_path, t_count=3, grid_n=512, **overrides)
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'e_min'" in err and "needs 0 < e_min < e_max" in err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -237,3 +252,41 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["trace", "--config", cfg, "--out", out, "--seed", "777"]) == 0
     comments, _ = read_blocks(out)
     assert '"seed": 777' in comments[1]
+
+
+# the benchmark's smoke config for its cli_reference workload
+SMOKE_CONFIG = {
+    "grid_n": 1024,
+    "t_count": 21,
+    "m_size": 8192,
+    "x_count": 101,
+    "equiv_t_count": 3,
+    "lambdas": [0.0, 1.0],
+    "overlap_times": [-5.0],
+}
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import arrowtime.checks
+from arrowtime.cli import main
+config, out = sys.argv[1], sys.argv[2]
+for command in ("trace", "frames", "equiv", "galapon"):
+    code = main([command, "--config", config, "--out", f"{out}/{command}.csv"])
+    assert code == 0, (command, code)
+loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
+assert not loaded, loaded
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    cfg = write_config(tmp_path, **SMOKE_CONFIG)
+    src = str(Path(arrowtime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, cfg, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    for command in ("trace", "frames", "equiv", "galapon"):
+        assert (tmp_path / f"{command}.csv").stat().st_size > 0
