@@ -75,13 +75,15 @@ class CubicSpline:
         rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
         rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
 
-        pivot, factor = [diag[0]], [upper[0] / diag[0]]
+        f = upper[0] / diag[0]
+        factor = [f]
         for lo, di, up in zip(lower.tolist(), diag[1:].tolist(), upper[1:].tolist()):
-            pivot.append(di - lo * factor[-1])
-            factor.append(up / pivot[-1])
-        pivot = np.array(pivot)
+            f = up / (di - lo * f)
+            factor.append(f)
+        factor = np.array(factor)
+        pivot = np.concatenate([diag[:1], diag[1:] - lower * factor[:-1]])
         fwd = _linear_scan(np.concatenate([[0.0], -lower / pivot[1:]]), rhs / pivot)
-        s = _linear_scan(np.concatenate([[0.0], -np.array(factor[-2::-1])]), fwd[::-1])[::-1]
+        s = _linear_scan(np.concatenate([[0.0], -factor[-2::-1]]), fwd[::-1])[::-1]
 
         t = (s[:-1] + s[1:] - 2.0 * slope) / h
         self.x = x
