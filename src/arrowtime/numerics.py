@@ -75,11 +75,9 @@ class CubicSpline:
         rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
         rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
 
-        f = upper[0] / diag[0]
-        factor = [f]
+        factor = [upper[0] / diag[0]]
         for lo, di, up in zip(lower.tolist(), diag[1:].tolist(), upper[1:].tolist()):
-            f = up / (di - lo * f)
-            factor.append(f)
+            factor.append(up / (di - lo * factor[-1]))
         factor = np.array(factor)
         pivot = np.concatenate([diag[:1], diag[1:] - lower * factor[:-1]])
         fwd = _linear_scan(np.concatenate([[0.0], -lower / pivot[1:]]), rhs / pivot)
