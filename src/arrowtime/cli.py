@@ -195,13 +195,9 @@ def cmd_trace(cfg: RunConfig, out_path: str) -> int:
         except MonotonicityError as exc:
             print(f"invariant failure: {exc}", file=sys.stderr)
             return 1
-        for i, t in enumerate(times):
-            emitter.row(
-                t,
-                trace.mf_values[i],
-                trace.mb_values[i],
-                mf_expectation_oracle(state, float(t)),
-            )
+        oracle = mf_expectation_oracle(state, times)
+        for row in zip(times, trace.mf_values, trace.mb_values, oracle):
+            emitter.row(*row)
     emitter.write(out_path)
     return 0
 
@@ -225,8 +221,8 @@ def cmd_frames(cfg: RunConfig, out_path: str) -> int:
         if emit_mask is None:
             m = mgrid.m_nodes
             emit_mask = (m >= cfg.m_emit_floor) & (m <= 1.0 - cfg.m_emit_floor)
-        dens_sum = dist.density_m()
-        dens_ch = [dist.density_m(c) for c in dist.channels]
+        amps = dist.amplitudes_m()
+        dens_sum, dens_ch = np.abs(np.sum(amps, axis=0)) ** 2, np.abs(amps) ** 2
         emitter.comment(f"block: m t={_fmt(t)}")
         emitter.comment(f"mf: {_fmt(mf_val)}")
         emitter.comment(f"first_moment: {_fmt(dist.first_moment())}")
@@ -266,11 +262,11 @@ def cmd_equiv(cfg: RunConfig, out_path: str) -> int:
     state = _build_state(cfg)
     emitter = _Emitter(cfg, "equiv")
     emitter.header("lambda", "max_defect", "t", "overlap")
-    for lam in cfg.lambdas:
-        model = delta_model(float(lam), cfg.mu)
+    models = [delta_model(float(lam), cfg.mu) for lam in cfg.lambdas]
+    overlaps = asymptotic_overlap(state, models, cfg.overlap_times)
+    for lam, model, row in zip(cfg.lambdas, models, overlaps):
         defect = equivalence_defect(state, model)
-        overlaps = asymptotic_overlap(state, model, cfg.overlap_times)
-        for t, overlap in zip(cfg.overlap_times, overlaps):
+        for t, overlap in zip(cfg.overlap_times, row):
             emitter.row(lam, defect, t, overlap)
     emitter.write(out_path)
     return 0

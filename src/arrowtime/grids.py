@@ -237,13 +237,9 @@ def momentum_to_energy(state: MomentumState, grid: EnergyGrid) -> ChannelState:
     p = np.sqrt(2.0 * mu * grid.nodes)
     if p[-1] > state.p_max + 1e-12:
         raise UncoveredGridError("energy grid reaches beyond the momentum grid coverage")
-    spline = CubicSpline(state.nodes, state.values)
-    plus = np.sqrt(mu / p) * spline(p)
-    minus = np.sqrt(mu / p) * spline(-p)
-    out = ChannelState(grid, ("+", "-"), np.vstack([plus, minus]), mu)
-
-    dens = CubicSpline(state.nodes, np.abs(state.values) ** 2)
-    band = float(dens.integrate(p[0], p[-1]) + dens.integrate(-p[-1], -p[0]))
+    fit = CubicSpline(state.nodes, np.stack([state.values, np.abs(state.values) ** 2]))
+    out = ChannelState(grid, ("+", "-"), np.sqrt(mu / p) * fit(np.stack([p, -p]))[0], mu)
+    band = float((fit.integrate(p[0], p[-1]) + fit.integrate(-p[-1], -p[0]))[1].real)
     if abs(out.norm_squared() - band) > NORM_CONSERVATION_TOL:
         raise UnderresolvedGridError(
             "momentum -> energy map lost norm beyond tolerance "

@@ -142,38 +142,33 @@ class MDistribution:
             raise ValueError("distributions live on different lattices")
         return complex(np.sum(np.conj(self.values) * other.values) * self.mgrid.nu_step)
 
-    def amplitudes_m(self, channel: str) -> np.ndarray:
-        """psi_j(m) on the lattice.
+    def amplitudes_m(self) -> np.ndarray:
+        """psi_j(m) on the lattice, one row per channel.
 
-        Values whose nu-density sits at the transform's roundoff floor are
-        reported as zero (the cosh conversion factor would amplify pure FFT
-        noise there), and genuinely huge far-tail amplitudes saturate near
-        the double-precision ceiling; integrals never use this form, they
-        stay in the nu variable.
+        Values whose nu-density sits at the transform's roundoff floor,
+        relative to the largest of their own row, are reported as zero (the
+        cosh conversion factor would amplify pure FFT noise there), and
+        genuinely huge far-tail amplitudes saturate near the double-precision
+        ceiling; integrals never use this form, they stay in the nu variable.
         """
-        a = self.values[self.channels.index(channel)]
-        nu = self.mgrid.nu_nodes
+        a = self.values
         mag = np.abs(a)
         out = np.zeros_like(a)
-        ok = mag > 1e-14 * float(np.max(mag, initial=0.0))
-        if not np.any(ok):
-            return out
+        ok = mag > 1e-14 * np.max(mag, axis=1, keepdims=True, initial=0.0)
         # log-space cosh: ln cosh x = |x| + ln(1 + e^(-2|x|)) - ln 2
-        x = np.abs(np.pi * nu[ok])
+        x = np.abs(np.pi * self.mgrid.nu_nodes)
         logcosh = x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
         # cap low enough that squaring the amplitude stays finite
-        logmag = np.minimum(np.log(mag[ok]) + logcosh + 0.5 * np.log(2.0 / np.pi), 350.0)
-        out[ok] = np.exp(logmag) * (a[ok] / mag[ok])
+        logmag = np.log(mag[ok]) + logcosh[np.nonzero(ok)[1]] + 0.5 * np.log(2.0 / np.pi)
+        out[ok] = np.exp(np.minimum(logmag, 350.0)) * (a[ok] / mag[ok])
         return out
 
     def density_m(self, channel: str | None = None) -> np.ndarray:
         """|psi(m)|^2 per channel, or of the channel-summed amplitude."""
+        amps = self.amplitudes_m()
         if channel is not None:
-            return np.abs(self.amplitudes_m(channel)) ** 2
-        total = np.zeros(self.mgrid.size, dtype=complex)
-        for c in self.channels:
-            total = total + self.amplitudes_m(c)
-        return np.abs(total) ** 2
+            return np.abs(amps[self.channels.index(channel)]) ** 2
+        return np.abs(np.sum(amps, axis=0)) ** 2
 
     def first_moment(self) -> float:
         """sum_j integral m |psi_j(m)|^2 dm, evaluated on the nu lattice."""

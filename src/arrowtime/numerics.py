@@ -45,11 +45,11 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y_i = a_i y_{i-1} + b_i with y_{-1} = 0, by recursive doubling."""
+    """y_i = a_i y_{i-1} + b_i along the last axis of b, with y_{-1} = 0, by recursive doubling."""
     a, b = a.copy(), b.copy()
     step = 1
-    while step < b.size:
-        b[step:] += a[step:] * b[:-step]
+    while step < a.size:
+        b[..., step:] += a[step:] * b[..., :-step]
         a[step:] *= a[:-step]
         step *= 2
     return b
@@ -58,9 +58,11 @@ def _linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CubicSpline:
     """Not-a-knot cubic spline through (x_i, y_i), n >= 4, extrapolated by the end pieces.
 
-    The slopes solve scipy's tridiagonal system by the Thomas algorithm: the
-    elimination factors in one sweep over Python floats, both substitutions
-    as linear recurrences by recursive doubling.  Complex y fits in one pass.
+    Rows stacked along the leading axes of y share the nodes; results carry
+    those axes.  The slopes solve scipy's tridiagonal system by the Thomas
+    algorithm: the elimination factors, which depend only on the nodes, in
+    one sweep over Python floats, both substitutions as linear recurrences
+    by recursive doubling.  Complex y fits in one pass.
     """
 
     def __init__(self, x, y):
@@ -70,10 +72,12 @@ class CubicSpline:
         lower = np.concatenate([h[1:], [d1]])  # row i, column i - 1
         diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
         upper = np.concatenate([[d0], h[:-1], [0.0]])  # row i, column i + 1
-        rhs = np.empty(n, dtype=slope.dtype)
-        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-        rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
-        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+        rhs = np.empty(y.shape, dtype=slope.dtype)
+        rhs[..., 1:-1] = 3.0 * (h[1:] * slope[..., :-1] + h[:-1] * slope[..., 1:])
+        rhs[..., 0] = ((h[0] + 2.0 * d0) * h[1] * slope[..., 0] + h[0] ** 2 * slope[..., 1]) / d0
+        rhs[..., -1] = (
+            h[-1] ** 2 * slope[..., -2] + (2.0 * d1 + h[-1]) * h[-2] * slope[..., -1]
+        ) / d1
 
         factor = [upper[0] / diag[0]]
         for lo, di, up in zip(lower.tolist(), diag[1:].tolist(), upper[1:].tolist()):
@@ -81,31 +85,32 @@ class CubicSpline:
         factor = np.array(factor)
         pivot = np.concatenate([diag[:1], diag[1:] - lower * factor[:-1]])
         fwd = _linear_scan(np.concatenate([[0.0], -lower / pivot[1:]]), rhs / pivot)
-        s = _linear_scan(np.concatenate([[0.0], -factor[-2::-1]]), fwd[::-1])[::-1]
+        s = _linear_scan(np.concatenate([[0.0], -factor[-2::-1]]), fwd[..., ::-1])[..., ::-1]
 
-        t = (s[:-1] + s[1:] - 2.0 * slope) / h
+        t = (s[..., :-1] + s[..., 1:] - 2.0 * slope) / h
         self.x = x
-        self.coef = np.stack([t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]])
-        self._area = np.concatenate([[0.0], np.cumsum(self._antiderivative(np.arange(n - 1), h))])
+        self.coef = np.stack([t / h, (slope - s[..., :-1]) / h - t, s[..., :-1], y[..., :-1]])
+        area = np.cumsum(self._antiderivative(np.arange(n - 1), h), axis=-1)
+        self._area = np.concatenate([np.zeros(y.shape[:-1] + (1,), area.dtype), area], axis=-1)
 
     def _locate(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
         return i, xq - self.x[i]
 
     def _antiderivative(self, i: np.ndarray, d: np.ndarray) -> np.ndarray:
-        c3, c2, c1, c0 = self.coef[:, i]
+        c3, c2, c1, c0 = self.coef[..., i]
         return (((c3 / 4.0 * d + c2 / 3.0) * d + c1 / 2.0) * d + c0) * d
 
     def __call__(self, xq) -> np.ndarray:
         i, d = self._locate(np.asarray(xq, dtype=float))
-        c3, c2, c1, c0 = self.coef[:, i]
+        c3, c2, c1, c0 = self.coef[..., i]
         return ((c3 * d + c2) * d + c1) * d + c0
 
     def integrate(self, a: float, b: float):
         """Integral of the spline from a to b."""
         i, d = self._locate(np.array([a, b], dtype=float))
-        ends = self._area[i] + self._antiderivative(i, d)
-        return ends[1] - ends[0]
+        ends = self._area[..., i] + self._antiderivative(i, d)
+        return ends[..., 1] - ends[..., 0]
 
 
 # Below the cut gamma(x) = x sum_k _GAMMA_SERIES[k] x^(2k), free of cancellation

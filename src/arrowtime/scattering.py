@@ -127,65 +127,60 @@ def equivalence_defect(state: ChannelState, model: ScatteringModel) -> float:
     return float(np.max(np.abs(mapped.amplitudes - state.amplitudes), initial=0.0))
 
 
-def _fine_momentum_resample(state: ChannelState, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+_N_P = 65536  # points of the fine uniform momentum lattice
+_WINDOW_SIGMAS = 12.0  # half-width of the spatial window, in spatial widths
+
+
+def _fine_momentum_resample(state: ChannelState) -> tuple[np.ndarray, np.ndarray]:
     """psi~ on a fine symmetric uniform momentum lattice q_k = k dq."""
     grid = state.grid
     mu = state.mu
     p_hi = np.sqrt(2.0 * mu * grid.e_max)
     p_lo = np.sqrt(2.0 * mu * grid.e_min)
-    half = n_p // 2
+    half = _N_P // 2
     dq = p_hi / half
     q = dq * np.arange(-half, half + 1)
-    u = np.log(grid.nodes)
+    fit = CubicSpline(np.log(grid.nodes), np.stack([state.channel("+"), state.channel("-")]))
+    # the lattice is symmetric, so both channels are read at the same |q|
+    mag = q[q > p_lo]
+    plus, minus = np.sqrt(mag / mu) * fit(np.log(mag**2 / (2.0 * mu)))
     out = np.zeros(q.size, dtype=complex)
-    for sign, label in ((+1, "+"), (-1, "-")):
-        row = state.channel(label)
-        spline = CubicSpline(u, row)
-        sel = (np.sign(q) == sign) & (np.abs(q) > p_lo)
-        mag = np.abs(q[sel])
-        uu = np.log(mag**2 / (2.0 * mu))
-        out[sel] = np.sqrt(mag / mu) * spline(uu)
+    out[q > p_lo] = plus
+    out[q < -p_lo] = minus[::-1]
     return q, out
 
 
-def asymptotic_overlap(
-    state: ChannelState,
-    model: ScatteringModel,
-    times,
-    n_p: int = 65536,
-    window_sigmas: float = 12.0,
-):
+def asymptotic_overlap(state: ChannelState, models, times) -> np.ndarray:
     """|<psi_free(t) | psi_int(t)>|^2 from position-space reconstructions.
 
     Both wavefunctions are synthesized on a window around the drifted packet
-    center (half-width `window_sigmas` spatial widths): the free one from
-    plane waves, the interacting one from the piecewise plane-wave scattering
-    eigenfunctions with the model's reflection/transmission amplitudes.  The
-    synthesis runs over a fine uniform momentum lattice so the x lattice can
-    be generated by FFT with no quadrature aliasing.  The overlap is
-    normalized by the window norms; it tends to one as t -> -infinity.  One
-    overlap per entry of `times`, from one momentum resample; float for a scalar.
+    center: the free one from plane waves, the interacting one from the
+    piecewise plane-wave scattering eigenfunctions with each model's
+    reflection/transmission amplitudes.  The synthesis runs over a fine
+    uniform momentum lattice so the x lattice can be generated by FFT with
+    no quadrature aliasing.  The overlap is normalized by the window norms;
+    it tends to one as t -> -infinity.  Shape (len(models),) + np.shape(times),
+    from one momentum resample and one free wave per time.
     """
     ts = np.asarray(times, dtype=float)
     if np.any(ts >= 0.0):
         raise ValueError("the shared-asymptote check looks at t < 0")
     mu = state.mu
-    q, amp = _fine_momentum_resample(state, n_p)
+    q, amp = _fine_momentum_resample(state)
     dq = q[1] - q[0]
     dens = np.abs(amp) ** 2 * dq
     p_mean = float(np.sum(dens * q))
     p_var = float(np.sum(dens * (q - p_mean) ** 2))
     sigma_p = max(np.sqrt(p_var), 1e-12)
-    tau = model.transmission(np.abs(q))
-    refl = model.reflection(np.abs(q))
+    scatter = [(model.transmission(np.abs(q)), model.reflection(np.abs(q))) for model in models]
     pos, neg = q > 0, q < 0
-    overlaps = []
-    for t in ts.flat:
+    overlaps = np.empty((len(scatter), ts.size))
+    for k, t in enumerate(ts.flat):
         coef = amp * np.exp(-1j * q**2 * t / (2.0 * mu))
         x_center = p_mean * t / mu
         sigma_x = np.hypot(1.0 / (2.0 * sigma_p), sigma_p * t / mu)
-        x_lo = x_center - window_sigmas * sigma_x
-        x_hi = x_center + window_sigmas * sigma_x
+        x_lo = x_center - _WINDOW_SIGMAS * sigma_x
+        x_hi = x_center + _WINDOW_SIGMAS * sigma_x
 
         dx_target = min(np.pi / (2.0 * q[-1]), sigma_x / 64.0)
         length = next_fast_len(int(np.ceil(2.0 * np.pi / (dq * dx_target))))
@@ -193,7 +188,7 @@ def asymptotic_overlap(
         j_lo = int(np.floor(x_lo / dx))
         j_hi = int(np.ceil(x_hi / dx))
         if j_hi - j_lo + 1 >= length:
-            raise ValueError("spatial window exceeds the synthesis period; raise n_p")
+            raise ValueError("spatial window exceeds the synthesis period of the momentum lattice")
         x = dx * np.arange(j_lo, j_hi + 1)
         idx = np.arange(j_lo, j_hi + 1) % length
         bins = np.round(q / dq).astype(int) % length
@@ -205,19 +200,18 @@ def asymptotic_overlap(
             return wave[idx]
 
         flipped = coef[::-1]  # coefficient at -q on the symmetric lattice
-
         psi_free = synthesize(coef)
-        left = coef.copy()
-        left[neg] = coef[neg] * tau[neg] + flipped[neg] * refl[neg]
-        right = coef.copy()
-        right[pos] = coef[pos] * tau[pos] + flipped[pos] * refl[pos]
-        psi_int = np.where(x < 0.0, synthesize(left), synthesize(right))
-
         wx = np.full(x.size, dx)
         wx[0] *= 0.5
         wx[-1] *= 0.5
-        cross = np.sum(wx * np.conj(psi_free) * psi_int)
         n_free = np.sum(wx * np.abs(psi_free) ** 2)
-        n_int = np.sum(wx * np.abs(psi_int) ** 2)
-        overlaps.append(float(np.abs(cross) ** 2 / (n_free * n_int)))
-    return overlaps[0] if ts.ndim == 0 else np.array(overlaps)
+        for j, (tau, refl) in enumerate(scatter):
+            left = coef.copy()
+            left[neg] = coef[neg] * tau[neg] + flipped[neg] * refl[neg]
+            right = coef.copy()
+            right[pos] = coef[pos] * tau[pos] + flipped[pos] * refl[pos]
+            psi_int = np.where(x < 0.0, synthesize(left), synthesize(right))
+            cross = np.sum(wx * np.conj(psi_free) * psi_int)
+            n_int = np.sum(wx * np.abs(psi_int) ** 2)
+            overlaps[j, k] = float(np.abs(cross) ** 2 / (n_free * n_int))
+    return overlaps.reshape(len(scatter), *ts.shape)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -61,7 +64,7 @@ def test_oracle_zero_state(oracle_state):
 
 def test_oracle_monotone_by_construction(oracle_state):
     times = np.linspace(-3.0, 3.0, 25)
-    vals = [at.mf_expectation_oracle(oracle_state, float(t)) for t in times]
+    vals = at.mf_expectation_oracle(oracle_state, times)
     assert np.all(np.diff(vals) < 0.0)
     assert min(vals) >= 0.0
 
@@ -71,10 +74,34 @@ def test_oracle_agrees_with_kernel_on_random_states(profile_grid):
     for seed in (1, 2, 3):
         state = at.random_smooth_state(profile_grid, seed=seed)
         direct = at.expectation_trace(state, times, "forward")
-        worst = max(
-            abs(at.mf_expectation_oracle(state, float(t)) - d) for t, d in zip(times, direct)
-        )
+        worst = np.max(np.abs(at.mf_expectation_oracle(state, times) - direct))
         assert worst < 5e-4
+
+
+@pytest.mark.parametrize("which", ["profile", "packet", "random"])
+def test_oracle_array_call_equals_scalar_calls(oracle_state, packet_state, profile_grid, which):
+    state = {
+        "profile": oracle_state,
+        "packet": packet_state,
+        "random": at.random_smooth_state(profile_grid, seed=11),
+    }[which]
+    times = np.concatenate([np.linspace(-200.0, 200.0, 4001), [-100.0, 100.0]])
+    density = hardy._OracleDensity(state)
+    assert -times.max() <= -density.t0 and -times.min() >= density.t0  # both tails reached
+    values = at.mf_expectation_oracle(state, times)
+    assert np.array_equal(values, density.expectation(times))
+    assert np.array_equal(values, [density.expectation(float(t)) for t in times])
+    scalar = at.mf_expectation_oracle(state, 100.0)
+    assert type(scalar) is float and scalar == values[-1]
+
+
+def test_oracle_keeps_no_reference_to_the_state():
+    state = at.exponential_profile(at.default_profile_grid(512))
+    ref = weakref.ref(state)
+    at.mf_expectation_oracle(state, 0.0)
+    del state
+    gc.collect()
+    assert ref() is None
 
 
 def test_backward_oracle_complements(oracle_state):

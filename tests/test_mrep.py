@@ -115,6 +115,20 @@ def test_eigen_residual_contract_and_refinement():
         assert fine < coarse
 
 
+def test_m_amplitude_floor_is_per_channel(packet_state):
+    dist = at.to_m_representation(packet_state)
+    scaled = at.MDistribution(dist.mgrid, dist.channels, dist.values * [[1.0], [1e-20]])
+    ref, got = dist.amplitudes_m(), scaled.amplitudes_m()
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1] == 0.0, ref[1] == 0.0)
+    # compared on the band frames.csv emits: beyond it the log-space cosh
+    # conversion rounds by eps |ln psi|, and the far tail saturates at its cap
+    m = dist.mgrid.m_nodes
+    band = (m >= 1e-9) & (m <= 1.0 - 1e-9)
+    want = 1e-20 * ref[1][band]
+    assert np.max(np.abs(got[1][band] - want) / np.abs(want)) <= 1e-14
+
+
 def test_projection_idempotent(packet_state):
     dist = at.to_m_representation(packet_state)
     once = dist.project((0.4, 0.6))

@@ -77,6 +77,17 @@ def test_spline_matches_scipy(kind, n, scale, seed, ends):
     a, b = x[0] - 0.01 * span + np.array(ends) * 1.02 * span
     assert abs(ours.integrate(a, b) - ref.integrate(a, b)) <= 1e-13 * norm * span
 
+    # rows stacked along leading axes fit exactly as each row alone
+    rows = rng.standard_normal((2, 3, x.size)) + 1j * rng.standard_normal((2, 3, x.size))
+    rows[0, 0] = y
+    stacked = numerics.CubicSpline(x, rows)
+    values, areas = stacked(xq), stacked.integrate(a, b)
+    assert values.shape == (2, 3, xq.size) and areas.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        alone = numerics.CubicSpline(x, rows[idx])
+        assert np.array_equal(values[idx], alone(xq))
+        assert areas[idx] == alone.integrate(a, b)
+
 
 @pytest.mark.parametrize("real", [True, False])
 def test_next_fast_len_matches_scipy(real):

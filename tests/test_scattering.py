@@ -50,9 +50,18 @@ def test_equivalence_defect_interacting(packet_state, lam):
 
 
 def test_asymptotic_overlap_free_case(packet_state):
-    assert abs(at.asymptotic_overlap(packet_state, at.delta_model(0.0), -5.0) - 1.0) < 1e-10
+    assert abs(at.asymptotic_overlap(packet_state, [at.delta_model(0.0)], -5.0)[0] - 1.0) < 1e-10
+
+
+def test_asymptotic_overlap_rows_equal_single_model_calls(packet_state):
+    models = [at.delta_model(lam) for lam in (0.0, 1.0, 2.0)]
+    times = [-5.0, -20.0]
+    rows = at.asymptotic_overlap(packet_state, models, times)
+    assert rows.shape == (3, 2)
+    for model, row in zip(models, rows):
+        assert np.array_equal(row, at.asymptotic_overlap(packet_state, [model], times)[0])
 
 
 def test_asymptotic_overlap_requires_past_time(packet_state):
     with pytest.raises(ValueError):
-        at.asymptotic_overlap(packet_state, at.delta_model(1.0), 0.5)
+        at.asymptotic_overlap(packet_state, [at.delta_model(1.0)], 0.5)
