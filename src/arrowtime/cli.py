@@ -25,6 +25,7 @@ from .kernel import MonotonicityError, lyapunov_trace, mf_expectation
 from .mrep import make_m_grid, to_m_representation
 from .scattering import asymptotic_overlap, delta_model, equivalence_defect
 from .states import (
+    PROFILE_COVERAGE,
     PROFILE_ENERGY_RANGE,
     GaussianPacketParams,
     evolve,
@@ -57,19 +58,19 @@ class RunConfig:
     t0: float = -0.5
     t1: float = 0.5
     t_count: int = 201
-    frame_times: tuple = (-0.3, -0.05, 0.0, 0.05, 0.3)
+    frame_times: tuple[float, ...] = (-0.3, -0.05, 0.0, 0.05, 0.3)
     x_span: float = 8.0
     x_count: int = 801
     m_size: int = 131072
     m_emit_floor: float = 1e-9
-    lambdas: tuple = (0.0, 1.0, 2.0)
+    lambdas: tuple[float, ...] = (0.0, 1.0, 2.0)
     # equiv_t0/equiv_t1/equiv_t_count are read by no command; they stay so
     # that existing config files load and every CSV header keeps its bytes
     equiv_t0: float = -0.3
     equiv_t1: float = 0.3
     equiv_t_count: int = 11
-    overlap_times: tuple = (-5.0, -10.0, -20.0, -50.0)
-    gal_energies: tuple = (0.0, 1.0)
+    overlap_times: tuple[float, ...] = (-5.0, -10.0, -20.0, -50.0)
+    gal_energies: tuple[float, ...] = (0.0, 1.0)
     gal_t0: float = 0.0
     gal_t1: float = 6.283185307179586
     gal_t_count: int = 129
@@ -101,12 +102,18 @@ class RunConfig:
         e_min, e_max = self.energy_range()
         if not 0.0 < e_min < e_max:
             raise ConfigError("e_min", f"resolved [{e_min:g}, {e_max:g}] needs 0 < e_min < e_max")
+        lo, hi = PROFILE_COVERAGE
+        if self.experiment == "exponential" and (e_min > lo or e_max < hi):
+            name = "e_min" if e_min > lo else "e_max"
+            raise ConfigError(name, f"the exponential profile needs [{lo:g}, {hi:g}] in range")
         if self.m_size < 2 * self.grid_n:
             raise ConfigError("m_size", "must be at least twice grid_n")
         if not (0.0 < self.m_emit_floor < 0.5):
             raise ConfigError("m_emit_floor", "must lie in (0, 0.5)")
         if any(lam < 0 for lam in self.lambdas):
             raise ConfigError("lambdas", "couplings must be nonnegative")
+        if any(t >= 0 for t in self.overlap_times):
+            raise ConfigError("overlap_times", "overlaps are taken at negative times")
         if self.equiv_t_count < 1:
             raise ConfigError("equiv_t_count", "must be positive")
         if self.gal_t_count < 2:
@@ -119,14 +126,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        kinds = {f.name: f.type for f in fields(cls)}
+        for key, value in data.items():
+            if key not in kinds:
                 raise ConfigError(key, "unknown configuration key")
-        cfg = cls(**data)
-        for name in ("frame_times", "lambdas", "overlap_times", "gal_energies"):
-            setattr(cfg, name, tuple(getattr(cfg, name)))
-        return cfg.validate()
+            if not _has_kind(value, kinds[key]):
+                raise ConfigError(key, f"expected {kinds[key]}, got {json.dumps(value)}")
+        lists = {k: tuple(v) for k, v in data.items() if isinstance(v, list)}
+        return cls(**{**data, **lists}).validate()
 
     def resolved(self) -> dict:
         return asdict(self)
@@ -136,6 +143,15 @@ class RunConfig:
         gaussian = self.experiment == "gaussian"
         lo, hi = _packet_params(self).energy_range if gaussian else PROFILE_ENERGY_RANGE
         return (lo if self.e_min is None else self.e_min, hi if self.e_max is None else self.e_max)
+
+
+def _has_kind(value, kind: str) -> bool:
+    """Whether a JSON value fits a RunConfig annotation; a tuple is a list of numbers."""
+    if value is None or isinstance(value, bool):
+        return value is None and kind.endswith("| None")
+    if kind.startswith("tuple"):
+        return isinstance(value, list) and all(_has_kind(v, "float") for v in value)
+    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[kind.split(" |")[0]])
 
 
 def _packet_params(cfg: RunConfig) -> GaussianPacketParams:

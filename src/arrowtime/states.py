@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 PROFILE_ENERGY_RANGE = (1e-12, 42.0)
+PROFILE_COVERAGE = (2e-8, 38.0)  # the least range a grid for the unit-rate profile spans
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,9 @@ def exponential_profile(grid: EnergyGrid | None = None, n: int = 4096) -> Channe
     """
     if grid is None:
         grid = default_profile_grid(n)
-    if grid.e_min > 2e-8 or grid.e_max < 38.0:
-        raise ValueError("grid must cover roughly [1e-8, 40] for the unit-rate profile")
+    lo, hi = PROFILE_COVERAGE
+    if grid.e_min > lo or grid.e_max < hi:
+        raise ValueError(f"grid must cover [{lo:g}, {hi:g}] for the unit-rate profile")
     psi = np.sqrt(2.0) * np.exp(-grid.nodes)
     return ChannelState(grid, ("+",), psi.astype(complex))
 

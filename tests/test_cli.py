@@ -125,6 +125,30 @@ def test_uncovered_resolved_range_is_a_config_error(tmp_path, capsys, monkeypatc
     assert "config field 'e_min'" in err and "needs 0 < e_min < e_max" in err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, field_name",
+    [
+        ("equiv", {"overlap_times": [0.5]}, "overlap_times"),
+        ("equiv", {"overlap_times": [-5.0, 0.0]}, "overlap_times"),
+        ("trace", {"experiment": "exponential", "e_max": 30}, "e_max"),
+        ("trace", {"experiment": "exponential", "e_min": 0.001}, "e_min"),
+        *[(c, {"grid_n": "512"}, "grid_n") for c in ("trace", "frames", "equiv", "galapon")],
+        *[(c, {"lambdas": 1.0}, "lambdas") for c in ("trace", "frames", "equiv", "galapon")],
+        *[(c, {"grid_n": 4096.5}, "grid_n") for c in ("trace", "frames", "equiv")],
+        ("trace", {"t_count": 2.0}, "t_count"),
+        ("frames", {"x_count": 2.5}, "x_count"),
+    ],
+)
+def test_bad_config_value_is_rejected_before_work(
+    tmp_path, capsys, monkeypatch, command, overrides, field_name
+):
+    monkeypatch.setattr(cli, "_build_state", lambda cfg: pytest.fail("work started"))
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config field '{field_name}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_m=4096)
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
