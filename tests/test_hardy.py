@@ -87,7 +87,7 @@ def test_oracle_array_call_equals_scalar_calls(oracle_state, packet_state, profi
     }[which]
     times = np.concatenate([np.linspace(-200.0, 200.0, 4001), [-100.0, 100.0]])
     density = hardy._OracleDensity(state)
-    assert -times.max() <= -density.t0 and -times.min() >= density.t0  # both tails reached
+    assert times.min() <= -density.t0 and times.max() >= density.t0  # both tails reached
     values = at.mf_expectation_oracle(state, times)
     assert np.array_equal(values, density.expectation(times))
     assert np.array_equal(values, [density.expectation(float(t)) for t in times])
