@@ -74,6 +74,7 @@ from .galapon import (
     WitnessTrace,
     discretize_symmetric,
     galapon_T,
+    level_correspondence,
     lyapunov_violation_witness,
 )
 

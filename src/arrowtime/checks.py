@@ -367,12 +367,7 @@ def check_galapon_witness(ctx: _Ctx):
 
 
 def check_galapon_proportionality(ctx: _Ctx):
-    nodes = np.linspace(1.0, 2.0, 9)
-    h = nodes[1] - nodes[0]
-    grid = EnergyGrid(nodes, np.full(nodes.size, h), "linear", 1.0, 2.0)
-    sym = gal.discretize_symmetric(grid)
-    ref = gal.galapon_T(nodes)
-    dev = np.max(np.abs(sym.matrix - (h / np.pi) * ref.matrix))
+    _, dev = gal.level_correspondence(np.linspace(1.0, 2.0, 9))
     assert dev < 1e-12, f"proportionality defect {dev:.3e}"
 
 

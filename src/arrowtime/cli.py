@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checks import run_checks
-from .galapon import discretize_symmetric, galapon_T, lyapunov_violation_witness
+from .galapon import galapon_T, level_correspondence, lyapunov_violation_witness
 from .grids import EnergyGrid, UncoveredGridError, UnderresolvedGridError, make_energy_grid
 from .hardy import mf_expectation_oracle
 from .kernel import MonotonicityError, lyapunov_trace, mf_expectation
@@ -223,8 +223,9 @@ def cmd_frames(cfg: RunConfig, out_path: str) -> int:
     params = _packet_params(cfg)
     mgrid = make_m_grid(state.grid, cfg.m_size)
     emitter = _Emitter(cfg, "frames")
+    m = mgrid.m_nodes
+    emit = np.nonzero((m >= cfg.m_emit_floor) & (m <= 1.0 - cfg.m_emit_floor))[0]
     x = np.linspace(-cfg.x_span, cfg.x_span, cfg.x_count)
-    emit_mask = None
     for t in cfg.frame_times:
         mf_val = mf_expectation(state, float(t))
         emitter.comment(f"block: x t={_fmt(t)}")
@@ -234,16 +235,13 @@ def cmd_frames(cfg: RunConfig, out_path: str) -> int:
         for xi, di in zip(x, dens_x):
             emitter.row(xi, di)
         dist = to_m_representation(evolve(state, float(t)), mgrid)
-        if emit_mask is None:
-            m = mgrid.m_nodes
-            emit_mask = (m >= cfg.m_emit_floor) & (m <= 1.0 - cfg.m_emit_floor)
         amps = dist.amplitudes_m()
         dens_sum, dens_ch = np.abs(np.sum(amps, axis=0)) ** 2, np.abs(amps) ** 2
         emitter.comment(f"block: m t={_fmt(t)}")
         emitter.comment(f"mf: {_fmt(mf_val)}")
         emitter.comment(f"first_moment: {_fmt(dist.first_moment())}")
         emitter.header("m", "nu", "density_m", "density_plus", "density_minus")
-        for idx in np.nonzero(emit_mask)[0]:
+        for idx in emit:
             emitter.row(
                 mgrid.m_nodes[idx],
                 mgrid.nu_nodes[idx],
@@ -295,16 +293,11 @@ def cmd_galapon(cfg: RunConfig, out_path: str) -> int:
     times = np.linspace(cfg.gal_t0, cfg.gal_t1, cfg.gal_t_count)
     witness = lyapunov_violation_witness(op, coeff, times)
 
-    nodes = np.linspace(1.0, 2.0, 9)
-    step = nodes[1] - nodes[0]
-    level_grid = EnergyGrid(nodes, np.full(nodes.size, step), "linear", 1.0, 2.0)
-    sym = discretize_symmetric(level_grid)
-    ref = galapon_T(nodes)
-    dev = float(np.max(np.abs(sym.matrix - (step / np.pi) * ref.matrix)))
+    factor, dev = level_correspondence(np.linspace(1.0, 2.0, 9))
 
     emitter = _Emitter(cfg, "galapon")
     emitter.comment(f"non_monotone: {str(witness.non_monotone).lower()}")
-    emitter.comment(f"proportionality_factor: {_fmt(step / np.pi)}")
+    emitter.comment(f"proportionality_factor: {_fmt(factor)}")
     emitter.comment(f"proportionality_deviation: {_fmt(dev)}")
     emitter.header("t", "expectation")
     for t, v in zip(witness.times, witness.values):

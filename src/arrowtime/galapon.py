@@ -23,6 +23,7 @@ __all__ = [
     "WitnessTrace",
     "discretize_symmetric",
     "galapon_T",
+    "level_correspondence",
     "lyapunov_violation_witness",
 ]
 
@@ -69,9 +70,19 @@ def discretize_symmetric(grid: EnergyGrid) -> DiscreteOperator:
 def galapon_T(energies) -> DiscreteOperator:
     """Canonical discrete time operator: zero diagonal, i/(E_n - E_m) off it."""
     e = np.asarray(energies, dtype=float)
-    if np.unique(e).size != e.size:
-        raise ValueError("energy levels must be distinct")
     return DiscreteOperator(e, 1j * cauchy_matrix(e, e))
+
+
+def level_correspondence(nodes) -> tuple[float, float]:
+    """(h/pi, deviation) of discretize_symmetric on the uniform-weight linear
+    grid over equally spaced `nodes` (step h) from h/pi times galapon_T(nodes);
+    the arrow kernel is that multiple, so the deviation sits at roundoff."""
+    nodes = np.asarray(nodes, dtype=float)
+    step = nodes[1] - nodes[0]
+    grid = EnergyGrid(nodes, np.full(nodes.size, step), "linear", nodes[0], nodes[-1])
+    factor = float(step / np.pi)
+    dev = np.max(np.abs(discretize_symmetric(grid).matrix - factor * galapon_T(nodes).matrix))
+    return factor, float(dev)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ monotonicity holds to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -34,7 +34,7 @@ Orientation = Literal["forward", "backward"]
 REALITY_TOL = 1e-8
 MONOTONICITY_STEP_TOL = 1e-9
 TRACE_BOUND_TOL = 1e-8
-TRACE_COMPLETENESS_TOL = 1e-10
+TRACE_COMPLETENESS_TOL = 1e-10  # read by bench/workloads.py; mb is derived from mf here
 
 __all__ = [
     "SingularKernel",
@@ -174,8 +174,6 @@ class SingularKernel:
     pv_row_sums: np.ndarray
     endpoint_log: np.ndarray
 
-    delta_coefficient: float = field(default=0.5, init=False)
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Act on a channel amplitude vector.
 
@@ -264,29 +262,27 @@ def mb_expectation(state: ChannelState, t: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LyapunovTrace:
-    """Sampled forward/backward expectation values along strictly increasing times."""
+    """Forward expectation values along strictly increasing times; the
+    backward values are derived, mb = norm^2 - mf."""
 
     times: np.ndarray
     mf_values: np.ndarray
-    mb_values: np.ndarray
     norm_squared: float
 
     def __post_init__(self):
-        for name in ("times", "mf_values", "mb_values"):
+        for name in ("times", "mf_values"):
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if self.times.size == 0:
-            return
-        if np.any(np.diff(self.times) <= 0.0):
+        if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        scale = max(1.0, self.norm_squared)
-        for vals in (self.mf_values, self.mb_values):
-            if np.min(vals) < -TRACE_BOUND_TOL * scale or np.max(vals) > self.norm_squared + TRACE_BOUND_TOL * scale:
-                raise ValueError("trace values escape [0, norm^2] beyond tolerance")
-        defect = np.max(np.abs(self.mf_values + self.mb_values - self.norm_squared))
-        if defect > TRACE_COMPLETENESS_TOL * scale:
-            raise ValueError(f"forward + backward completeness defect {defect:.3e}")
+        tol = TRACE_BOUND_TOL * max(1.0, self.norm_squared)
+        if not np.all((-tol <= self.mf_values) & (self.mf_values <= self.norm_squared + tol)):
+            raise ValueError("trace values escape [0, norm^2] beyond tolerance")
+
+    @property
+    def mb_values(self) -> np.ndarray:
+        return self.norm_squared - self.mf_values
 
 
 def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
@@ -297,14 +293,10 @@ def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
     silently unphysical trace.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size and np.any(np.diff(times) <= 0.0):
+    if not np.all(np.diff(times) > 0.0):
         raise ValueError("times must be strictly increasing")
-    if times.size == 0:
-        empty = np.array([])
-        return LyapunovTrace(empty, empty.copy(), empty.copy(), state.norm_squared())
     mf = expectation_trace(state, times, "forward")
-    norm2 = state.norm_squared()
-    trace = LyapunovTrace(times, mf, norm2 - mf, norm2)
+    trace = LyapunovTrace(times, mf, state.norm_squared())
     steps = np.diff(mf)
     bad = np.nonzero(steps > MONOTONICITY_STEP_TOL)[0]
     if bad.size:

@@ -19,7 +19,7 @@ therefore evaluated in the nu variable, where nothing degenerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,38 +46,31 @@ def nu_of_m(m) -> np.ndarray | float:
     return np.log((1.0 - np.asarray(m)) / np.asarray(m)) / (2.0 * np.pi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MGrid:
-    """Uniform-in-nu eigenvalue lattice tied to a log-grid spacing.
-
-    nu_nodes descend (m_nodes ascend) and span the Nyquist band +-pi/du of
-    the source grid; fft_length is the padded transform size and k_bins maps
-    each node to its DFT bin.
+    """Uniform-in-nu eigenvalue lattice of the padded DFT off a log grid,
+    derived from the grid's step du in u = ln E and the transform length:
+    k_bins holds the DFT bins in descending order, nu_nodes = 2 pi k / (fft_length du)
+    descend across the Nyquist band +-pi/du, and m_nodes ascend.
     """
 
-    nu_nodes: np.ndarray
-    m_nodes: np.ndarray
-    weights: np.ndarray
     log_step: float
     fft_length: int
-    k_bins: np.ndarray
+    k_bins: np.ndarray = field(init=False, repr=False, compare=False)
+    nu_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    m_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nu_nodes", "m_nodes", "weights"):
-            a = np.asarray(getattr(self, name))
+        length = self.fft_length
+        if not (self.log_step > 0.0 and length >= 2):
+            raise ValueError("the lattice needs log_step > 0 and fft_length >= 2")
+        k = np.arange(length - length // 2 - 1, -(length // 2) - 1, -1)
+        nu = 2.0 * np.pi * k / (length * self.log_step)
+        with np.errstate(over="ignore"):
+            m = 1.0 / (1.0 + np.exp(2.0 * np.pi * nu))
+        for name, a in (("k_bins", k), ("nu_nodes", nu), ("m_nodes", m)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        d = np.diff(self.nu_nodes)
-        # uniformity to 1e-12 relative to the lattice scale (the nodes reach
-        # the Nyquist frequency, so spacing differences inherit their roundoff)
-        if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, float(np.max(np.abs(self.nu_nodes)))):
-            raise ValueError("nu lattice must be uniform")
-        if d[0] >= 0:
-            raise ValueError("nu must descend so that m ascends")
-
-    @property
-    def size(self) -> int:
-        return self.nu_nodes.size
 
     @property
     def nu_step(self) -> float:
@@ -90,20 +83,8 @@ def make_m_grid(grid: EnergyGrid, size: int | None = None) -> MGrid:
     `size` requests the lattice resolution (transform length); it is rounded
     up to an FFT-friendly length of at least twice the grid size.
     """
-    du = grid.log_step
     n = grid.n
-    length = next_fast_len(max(int(size) if size else 4 * n, 2 * n))
-    k = np.arange(length)
-    k = np.where(k < length - length // 2, k, k - length)  # fft bin ordering
-    k = np.sort(k)[::-1]  # descending k -> descending nu -> ascending m
-    nu = 2.0 * np.pi * k / (length * du)
-    with np.errstate(over="ignore"):
-        m = 1.0 / (1.0 + np.exp(2.0 * np.pi * nu))
-        cosh2 = np.cosh(np.pi * nu) ** 2
-    dnu = 2.0 * np.pi / (length * du)
-    with np.errstate(over="ignore", divide="ignore"):
-        weights = 2.0 * np.pi * dnu / (4.0 * cosh2)  # 2 pi m(1-m) dnu, stable form
-    return MGrid(nu, m, weights, du, length, k.astype(int))
+    return MGrid(grid.log_step, next_fast_len(max(int(size) if size else 4 * n, 2 * n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +110,14 @@ class MDistribution:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "channels", tuple(self.channels))
-        if vals.shape != (len(self.channels), self.mgrid.size):
+        if vals.shape != (len(self.channels), self.mgrid.fft_length):
             raise ValueError("value array must be (n_channels, lattice size)")
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.mgrid.nu_step)
 
     def inner(self, other: "MDistribution") -> complex:
-        if other.mgrid is not self.mgrid and not np.array_equal(
-            other.mgrid.nu_nodes, self.mgrid.nu_nodes
-        ):
+        if other.mgrid != self.mgrid:
             raise ValueError("distributions live on different lattices")
         return complex(np.sum(np.conj(self.values) * other.values) * self.mgrid.nu_step)
 
@@ -205,46 +184,45 @@ def eigenfunction(m: float, energies) -> np.ndarray | complex:
     return out if out.ndim else complex(out)
 
 
-def _require_log_grid(grid: EnergyGrid, mgrid: MGrid):
+def _u_frame(grid: EnergyGrid, mgrid: MGrid):
+    """What both transform directions need: the weights omega sqrt(E) taking
+    psi to the trapezoid-weighted h(u), the DFT bin (-k) mod L of each
+    lattice node, and the phases nu u0 that shift the DFT to start at u0."""
     if grid.spacing_kind != "logarithmic":
         raise ValueError("the eigenvalue transform requires a logarithmic grid")
     if abs(grid.log_step - mgrid.log_step) > 1e-12 * mgrid.log_step:
         raise ValueError("grid log-spacing does not match the eigenvalue lattice")
+    omega = grid.weights / grid.nodes  # trapezoid weights in u
+    bins = (-mgrid.k_bins) % mgrid.fft_length
+    return omega * np.sqrt(grid.nodes), bins, mgrid.nu_nodes * float(np.log(grid.nodes[0]))
 
 
 def to_m_representation(state: ChannelState, mgrid: MGrid | None = None) -> MDistribution:
     """Project each channel onto the eigenbasis (padded FFT in u = ln E)."""
     if mgrid is None:
         mgrid = make_m_grid(state.grid)
-    _require_log_grid(state.grid, mgrid)
-    grid = state.grid
-    u0 = float(np.log(grid.nodes[0]))
-    omega = grid.weights / grid.nodes  # trapezoid weights in u
-    length, k, nu = mgrid.fft_length, mgrid.k_bins, mgrid.nu_nodes
-    phase = np.exp(1j * nu * u0)
-    rows = []
-    for row in state.amplitudes:
-        hw = omega * np.sqrt(grid.nodes) * row
-        spec = np.fft.fft(hw, n=length)
-        rows.append(phase * spec[(-k) % length] / np.sqrt(2.0 * np.pi))
+    weights, bins, nu_u0 = _u_frame(state.grid, mgrid)
+    phase = np.exp(1j * nu_u0)
+    # one channel at a time: the complex multiply on rows of a stacked array
+    # rounds differently from a 1-D one, which would move emitted bytes
+    rows = [
+        phase * np.fft.fft(weights * row, n=mgrid.fft_length)[bins] / np.sqrt(2.0 * np.pi)
+        for row in state.amplitudes
+    ]
     return MDistribution(mgrid, state.channels, np.vstack(rows), state.mu)
 
 
 def from_m_representation(dist: MDistribution, grid: EnergyGrid) -> ChannelState:
     """Left inverse of to_m_representation onto the given grid."""
     mgrid = dist.mgrid
-    _require_log_grid(grid, mgrid)
+    weights, bins, nu_u0 = _u_frame(grid, mgrid)
     if grid.n > mgrid.fft_length:
         raise ValueError("grid has more nodes than the transform length")
-    u0 = float(np.log(grid.nodes[0]))
-    omega = grid.weights / grid.nodes
-    length, k, nu = mgrid.fft_length, mgrid.k_bins, mgrid.nu_nodes
     rows = []
     for row in dist.values:
-        spec = np.zeros(length, dtype=complex)
-        spec[(-k) % length] = row * np.sqrt(2.0 * np.pi) * np.exp(-1j * nu * u0)
-        hw = np.fft.ifft(spec)[: grid.n]
-        rows.append(hw / (omega * np.sqrt(grid.nodes)))
+        spec = np.zeros(mgrid.fft_length, dtype=complex)
+        spec[bins] = row * np.sqrt(2.0 * np.pi) * np.exp(-1j * nu_u0)
+        rows.append(np.fft.ifft(spec)[: grid.n] / weights)
     return ChannelState(grid, dist.channels, np.vstack(rows), dist.mu)
 
 

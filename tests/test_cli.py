@@ -224,6 +224,8 @@ def test_galapon_command_trace(tmp_path):
     assert "# non_monotone: true" in comments
     dev = [float(c.split(":")[1]) for c in comments if c.startswith("# proportionality_deviation")]
     assert dev[0] < 1e-12
+    factor = [float(c.split(":")[1]) for c in comments if c.startswith("# proportionality_factor")]
+    assert arrowtime.level_correspondence(np.linspace(1.0, 2.0, 9)) == (factor[0], dev[0])
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     assert np.max(np.abs(data[:, 1] + np.sin(data[:, 0]))) < 1e-12
 

@@ -28,7 +28,6 @@ def test_forward_plus_backward_acts_as_identity(profile_grid):
     v = rng.normal(size=profile_grid.n) + 1j * rng.normal(size=profile_grid.n)
     resid = fwd.apply(v) + bwd.apply(v) - v
     assert np.max(np.abs(resid)) < 1e-13 * np.max(np.abs(v))
-    assert fwd.delta_coefficient == 0.5
 
 
 def test_pv_matrix_antisymmetric_with_zero_diagonal():
@@ -39,7 +38,6 @@ def test_pv_matrix_antisymmetric_with_zero_diagonal():
     mat = np.outer(w, w) * _cauchy_dense(grid.nodes, np.eye(grid.n)).real
     assert np.max(np.abs(mat + mat.T)) == 0.0
     assert np.all(np.diag(mat) == 0.0)
-    assert at.build_kernel(grid, "forward").delta_coefficient == 0.5
 
 
 def _relative_gap(a, b):
@@ -176,10 +174,16 @@ def test_monotonicity_error_carries_diagnostics():
 
 def test_trace_validation_rejects_inconsistent_data():
     times = np.array([0.0, 1.0])
+    for mf in ([1.2, 0.5], [0.5, -0.2], [np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            at.LyapunovTrace(times, np.array(mf), 1.0)
     with pytest.raises(ValueError):
-        at.LyapunovTrace(times, np.array([0.6, 0.5]), np.array([0.3, 0.5]), 1.0)
-    with pytest.raises(ValueError):
-        at.LyapunovTrace(times, np.array([1.2, 0.5]), np.array([-0.2, 0.5]), 1.0)
+        at.LyapunovTrace(np.array([0.0, np.nan]), np.array([0.6, 0.5]), 1.0)
+
+
+def test_trace_backward_values_complement_forward_bitwise(oracle_state):
+    trace = at.lyapunov_trace(oracle_state, np.linspace(-1.0, 1.0, 7))
+    assert np.array_equal(trace.mb_values, oracle_state.norm_squared() - trace.mf_values)
 
 
 def test_antisymmetry_defect_machine_zero(profile_grid, oracle_state):

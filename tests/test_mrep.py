@@ -34,6 +34,30 @@ def test_m_grid_structure(profile_grid):
     assert np.all(mgrid.m_nodes[interior] < 1.0)
 
 
+@pytest.mark.parametrize("size", [None, 131072, 15])
+def test_m_grid_derived_from_step_and_length(profile_grid, packet_state, size):
+    # the lattice arithmetic make_m_grid used when it stored the arrays
+    for grid in (profile_grid, packet_state.grid):
+        mgrid = at.make_m_grid(grid, size) if size != 15 else at.MGrid(grid.log_step, 15)
+        length, du = mgrid.fft_length, grid.log_step
+        k = np.arange(length)
+        k = np.where(k < length - length // 2, k, k - length)
+        k = np.sort(k)[::-1]
+        nu = 2.0 * np.pi * k / (length * du)
+        with np.errstate(over="ignore"):
+            m = 1.0 / (1.0 + np.exp(2.0 * np.pi * nu))
+        assert np.array_equal(mgrid.k_bins, k)
+        assert np.array_equal(mgrid.nu_nodes, nu)
+        assert np.array_equal(mgrid.m_nodes, m)
+        assert mgrid == at.MGrid(grid.log_step, length)
+
+
+@pytest.mark.parametrize("log_step, length", [(0.0, 64), (-0.1, 64), (0.1, 1)])
+def test_m_grid_rejects_degenerate_lattice(log_step, length):
+    with pytest.raises(ValueError):
+        at.MGrid(log_step, length)
+
+
 def test_oracle_state_m_density_closed_form(oracle_state):
     dist = at.to_m_representation(oracle_state)
     m = dist.mgrid.m_nodes
@@ -88,6 +112,9 @@ def test_weak_orthonormality(profile_grid):
     lhs = at.to_m_representation(a, mgrid).inner(at.to_m_representation(b, mgrid))
     rhs = at.inner_product(a, b)
     assert abs(lhs - rhs) < 1e-6
+    other = at.to_m_representation(b, at.make_m_grid(profile_grid, 2 * mgrid.fft_length))
+    with pytest.raises(ValueError):
+        at.to_m_representation(a, mgrid).inner(other)
 
 
 def test_first_moment_symmetric_oracle(oracle_state):
