@@ -119,6 +119,8 @@ class _OracleDensity:
     def expectation(self, t):
         """Forward expectation at each entry of t; a float for a scalar t."""
         upper = -np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(upper)):
+            raise ValueError("times must be finite")
         inside = np.clip(upper, -self.t0, self.t0)
         below = self.tail_integral(-1, np.maximum(-upper, self.t0))
         above = self.norm2 - self.tail_integral(+1, np.maximum(upper, self.t0))

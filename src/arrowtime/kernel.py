@@ -215,6 +215,8 @@ def _forward_values(
     grid = state.grid
     e, w = grid.nodes, grid.weights
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     norm2 = state.norm_squared()
     vals = np.full(times.shape, 0.5 * norm2)
     # evolution phases and diagonal-cell correction, shared across channels

@@ -23,6 +23,12 @@ def _gap_to_direct(state, taus):
     return np.linalg.norm(hardy._half_line_transform(state, taus) - direct) / np.linalg.norm(direct)
 
 
+@pytest.mark.parametrize("times", [np.nan, [0.0, np.inf], [-np.inf]])
+def test_oracle_rejects_non_finite_times(oracle_state_small, times):
+    with pytest.raises(ValueError, match="finite"):
+        at.mf_expectation_oracle(oracle_state_small, times)
+
+
 def test_forward_component_vanishes_at_positive_delay(oracle_state):
     assert np.all(at.forward_component(oracle_state, 0.5) == 0.0)
 

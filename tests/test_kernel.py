@@ -152,6 +152,22 @@ def test_lyapunov_trace_empty_times(oracle_state):
     assert trace.mf_values.size == 0
 
 
+NON_FINITE_ROUTES = {
+    "expectation_trace": lambda s: at.expectation_trace(s, [0.0, np.inf]),
+    "lyapunov_trace": lambda s: at.lyapunov_trace(s, [0.0, np.inf]),
+    "lyapunov_trace_nan": lambda s: at.lyapunov_trace(s, [0.0, np.nan, 1.0]),
+    "mf_expectation": lambda s: at.mf_expectation(s, np.nan),
+    "mb_expectation": lambda s: at.mb_expectation(s, -np.inf),
+    "antisymmetry_defect": lambda s: at.antisymmetry_defect(s, [0.0, np.nan]),
+}
+
+
+@pytest.mark.parametrize("route", NON_FINITE_ROUTES)
+def test_non_finite_times_are_rejected(oracle_state_small, route):
+    with pytest.raises(ValueError, match="finite|strictly increasing"):
+        NON_FINITE_ROUTES[route](oracle_state_small)
+
+
 def test_lyapunov_trace_requires_increasing_times(oracle_state):
     with pytest.raises(ValueError):
         at.lyapunov_trace(oracle_state, [0.0, 0.0, 1.0])
