@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -126,6 +127,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Config from JSON data, checking keys and types; validate() checks values."""
         kinds = {f.name: f.type for f in fields(cls)}
         for key, value in data.items():
             if key not in kinds:
@@ -133,7 +135,7 @@ class RunConfig:
             if not _has_kind(value, kinds[key]):
                 raise ConfigError(key, f"expected {kinds[key]}, got {json.dumps(value)}")
         lists = {k: tuple(v) for k, v in data.items() if isinstance(v, list)}
-        return cls(**{**data, **lists}).validate()
+        return cls(**{**data, **lists})
 
     def resolved(self) -> dict:
         return asdict(self)
@@ -146,11 +148,14 @@ class RunConfig:
 
 
 def _has_kind(value, kind: str) -> bool:
-    """Whether a JSON value fits a RunConfig annotation; a tuple is a list of numbers."""
+    """Whether a JSON value fits a RunConfig annotation; a tuple is a list of
+    numbers, and NaN or an infinity (which json accepts) fits nothing."""
     if value is None or isinstance(value, bool):
         return value is None and kind.endswith("| None")
     if kind.startswith("tuple"):
         return isinstance(value, list) and all(_has_kind(v, "float") for v in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, {"str": str, "int": int, "float": (int, float)}[kind.split(" |")[0]])
 
 
@@ -308,7 +313,7 @@ def cmd_galapon(cfg: RunConfig, out_path: str) -> int:
 
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
-        return RunConfig().validate()
+        return RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -137,6 +137,11 @@ def test_uncovered_resolved_range_is_a_config_error(tmp_path, capsys, monkeypatc
         *[(c, {"grid_n": 4096.5}, "grid_n") for c in ("trace", "frames", "equiv")],
         ("trace", {"t_count": 2.0}, "t_count"),
         ("frames", {"x_count": 2.5}, "x_count"),
+        # json reads NaN and Infinity as floats
+        ("trace", {"t1": float("inf"), "grid_n": 1024, "t_count": 5}, "t1"),
+        *[(c, {"xi0": float("inf")}, "xi0") for c in ("trace", "frames", "equiv")],
+        ("equiv", {"overlap_times": [float("nan")]}, "overlap_times"),
+        ("frames", {"frame_times": [float("nan")]}, "frame_times"),
     ],
 )
 def test_bad_config_value_is_rejected_before_work(
@@ -161,6 +166,16 @@ def test_grid_n_flag_overrides_config(tmp_path):
     assert main(["trace", "--config", cfg, "--out", out, "--grid-n", "256"]) == 0
     comments, _ = read_blocks(out)
     assert '"grid_n": 256' in comments[1]
+
+
+@pytest.mark.parametrize("config_n, flag_n", [(4, "512"), (512, "4")])
+def test_config_is_validated_after_overrides(tmp_path, capsys, config_n, flag_n):
+    cfg = write_config(tmp_path, experiment="exponential", t_count=3, grid_n=config_n)
+    out = tmp_path / "trace.csv"
+    code = main(["trace", "--config", cfg, "--out", str(out), "--grid-n", flag_n])
+    assert code == (0 if flag_n == "512" else 2)
+    assert out.exists() == (code == 0)
+    assert ("config field 'grid_n'" in capsys.readouterr().err) == (code == 2)
 
 
 def test_frames_blocks_and_cross_checks(tmp_path):
