@@ -1,9 +1,9 @@
 """Named invariant suite behind the `check` subcommand.
 
-Each check returns quietly or raises AssertionError with a diagnostic; the
-runner collects them into a pass/fail table.  Grids are sized so the whole
-suite stays well under five minutes on commodity hardware while keeping
-every tolerance at its contractual value.
+Each check is a generator of Margin records, a measured value against its
+contractual bound; run_checks alone judges them, so a check states each
+contract once and a NaN fails it.  Grids are sized so the whole suite stays
+well under five minutes on commodity hardware.
 
 `fault` is a test hook: "kernel-antisymmetry" adds the symmetric rank-one
 term 1e-6 w w^T to the weighted principal-value operator that the
@@ -27,6 +27,7 @@ from .grids import (
 )
 from .hardy import forward_component, mf_expectation_oracle, tail_density
 from .kernel import (
+    MONOTONICITY_STEP_TOL,
     antisymmetry_defect,
     build_kernel,
     cauchy_apply,
@@ -61,15 +62,43 @@ from .states import (
     random_smooth_state,
 )
 
-__all__ = ["CheckResult", "run_checks", "check_names"]
+__all__ = ["Margin", "CheckResult", "run_checks", "check_names"]
+
+
+@dataclass(frozen=True)
+class Margin:
+    """A measured value against its bound: ok iff value < bound (value > bound
+    when `above`), so a NaN fails either way."""
+
+    what: str
+    value: float
+    bound: float
+    above: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.value > self.bound if self.above else self.value < self.bound
+
+    def __str__(self) -> str:
+        return f"{self.what} {self.value:.4g} {'>' if self.above else '<'} {self.bound:.4g}"
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check passes iff it raised nothing, measured something and every margin is ok."""
+
     name: str
-    passed: bool
-    detail: str
+    margins: tuple[Margin, ...]
+    error: str | None
     seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return self.error is None and bool(self.margins) and all(m.ok for m in self.margins)
+
+    @property
+    def detail(self) -> str:
+        return self.error or "; ".join(map(str, self.margins)) or "measured nothing"
 
 
 class _Ctx:
@@ -116,15 +145,14 @@ def check_quadrature_convergence(ctx: _Ctx):
         return float(np.sum(g.weights * 2.0 * np.exp(-2.0 * g.nodes)))
 
     v4, v8 = integral(4096), integral(8192)
-    assert abs(v4 - 1.0) < 1e-8, f"integral error {v4 - 1.0:.3e}"
-    assert abs(v8 - v4) < 1e-9, f"refinement moved integral by {v8 - v4:.3e}"
+    yield Margin("integral error", abs(v4 - 1.0), 1e-8)
+    yield Margin("refinement shift", abs(v8 - v4), 1e-9)
 
 
 def check_momentum_roundtrip(ctx: _Ctx):
     state = ctx.packet()
     back = momentum_to_energy(energy_to_momentum(state), state.grid)
-    sup = float(np.max(np.abs(back.amplitudes - state.amplitudes)))
-    assert sup < 1e-10, f"roundtrip sup error {sup:.3e}"
+    yield Margin("roundtrip sup error", np.max(np.abs(back.amplitudes - state.amplitudes)), 1e-10)
 
 
 def check_inner_product_sesquilinear(ctx: _Ctx):
@@ -142,29 +170,30 @@ def check_inner_product_sesquilinear(ctx: _Ctx):
     lhs = inner_product(a, b.with_amplitudes(z * b.amplitudes + c.amplitudes))
     rhs = z * inner_product(a, b) + inner_product(a, c)
     scale = max(1.0, abs(lhs))
-    assert abs(lhs - rhs) < 1e-12 * scale, f"linearity defect {abs(lhs - rhs):.3e}"
+    yield Margin("linearity defect", abs(lhs - rhs), 1e-12 * scale)
     sym = inner_product(a, b) - np.conj(inner_product(b, a))
-    assert abs(sym) < 1e-12 * scale, f"conjugate symmetry defect {abs(sym):.3e}"
+    yield Margin("conjugate symmetry defect", abs(sym), 1e-12 * scale)
 
 
 # --- states ------------------------------------------------------------------
 
 
 def check_position_density_normalization(ctx: _Ctx):
+    errors = []
     for p0, xi0, t in ((6.4, 3.0, 0.0), (6.4, 3.0, 0.3), (2.0, 0.7, -1.2)):
         params = GaussianPacketParams(p0, xi0)
         sig = np.sqrt((params.mu**2 + xi0**4 * t**2) / (2.0 * params.mu**2 * xi0**2))
         xc = p0 * t / params.mu
         x = np.linspace(xc - 16 * sig, xc + 16 * sig, 4001)
-        total = np.trapezoid(gaussian_position_density(params, x, t), x)
-        assert abs(total - 1.0) < 1e-8, f"density integral {total - 1.0:.3e}"
+        errors.append(abs(np.trapezoid(gaussian_position_density(params, x, t), x) - 1.0))
+    yield Margin("density integral error", np.max(errors), 1e-8)
 
 
 def check_evolve_channel_restriction(ctx: _Ctx):
     state = ctx.packet()
     a = evolve(state.restrict_channel("+"), 0.37)
     b = evolve(state, 0.37).restrict_channel("+")
-    assert np.array_equal(a.amplitudes, b.amplitudes), "evolve does not commute with restriction"
+    yield Margin("differing entries", np.count_nonzero(a.amplitudes != b.amplitudes), 1)
 
 
 # --- arrow_operator ----------------------------------------------------------
@@ -179,31 +208,21 @@ def check_antisymmetry(ctx: _Ctx):
     states = ctx.random_states(100)
     times = np.linspace(-2.0, 2.0, 5)
     cauchy = _symmetric_fault if ctx.fault == "kernel-antisymmetry" else cauchy_apply
-    reality = max(antisymmetry_defect(state, times, cauchy) for state in states)
+    reality = np.max([antisymmetry_defect(state, times, cauchy) for state in states])
     rng = np.random.default_rng(ctx.seed)
     n = states[0].grid.n
     pairs = rng.normal(size=(len(states), 2, n)) + 1j * rng.normal(size=(len(states), 2, n))
-    pairing = max(pairing_defect(states[0].grid, a, b, cauchy) for a, b in pairs)
-    assert reality < 1e-12, f"reality defect {reality:.3e}"
-    assert pairing < 1e-12, f"relative pairing defect {pairing:.3e}"
+    pairing = np.max([pairing_defect(states[0].grid, a, b, cauchy) for a, b in pairs])
+    yield Margin("reality defect", reality, 1e-12)
+    yield Margin("relative pairing defect", pairing, 1e-12)
 
 
 def check_monotonicity_random(ctx: _Ctx):
-    states = ctx.random_states(100)
+    # lyapunov_trace raises on a step above the bound or a value outside
+    # [0, norm^2]; the margin reports how close the worst step came
     times = np.linspace(-5.0, 5.0, 201)
-    lo, hi = np.inf, -np.inf
-    for state in states:
-        trace = lyapunov_trace(state, times)  # raises MonotonicityError on violation
-        lo = min(lo, float(trace.mf_values.min()))
-        hi = max(hi, float(trace.mf_values.max()))
-    ctx._cache["mono-bounds"] = (lo, hi)
-
-
-def check_bounds(ctx: _Ctx):
-    if "mono-bounds" not in ctx._cache:
-        check_monotonicity_random(ctx)
-    lo, hi = ctx._cache["mono-bounds"]
-    assert lo >= -1e-8 and hi <= 1.0 + 1e-8, f"trace range [{lo:.3e}, {hi:.3e}]"
+    steps = [np.max(np.diff(lyapunov_trace(s, times).mf_values)) for s in ctx.random_states(100)]
+    yield Margin("worst forward step", np.max(steps), MONOTONICITY_STEP_TOL)
 
 
 def check_derivative_identity(ctx: _Ctx):
@@ -211,7 +230,7 @@ def check_derivative_identity(ctx: _Ctx):
     t, h = 0.7, 1e-3
     num = (mf_expectation(state, t + h) - mf_expectation(state, t - h)) / (2.0 * h)
     rate = -tail_density(evolve(state, t), 0.0)
-    assert abs(num - rate) < 1e-3 + h**2, f"derivative mismatch {num - rate:.3e}"
+    yield Margin("derivative mismatch", abs(num - rate), 1e-3 + h**2)
 
 
 def check_channel_additivity(ctx: _Ctx):
@@ -220,15 +239,14 @@ def check_channel_additivity(ctx: _Ctx):
     parts = mf_expectation(state.restrict_channel("+"), 0.21) + mf_expectation(
         state.restrict_channel("-"), 0.21
     )
-    assert abs(whole - parts) < 1e-12, f"channel additivity defect {whole - parts:.3e}"
+    yield Margin("channel additivity defect", abs(whole - parts), 1e-12)
 
 
 def check_mpc_rate(ctx: _Ctx):
-    state = ctx.oracle_state(2048)
-    d_expect, _ = mpc_commutator_defect(state)
-    assert abs(d_expect - 1.0 / np.pi) < 1e-3, f"rate {d_expect:.6f} != 1/pi"
+    d_expect, _ = mpc_commutator_defect(ctx.oracle_state(2048))
+    yield Margin("rate deviation from 1/pi", abs(d_expect - 1.0 / np.pi), 1e-3)
     _, noncomm = mpc_commutator_defect(exponential_profile(make_energy_grid(1e-9, 42.0, 64)))
-    assert noncomm > 1e-3, f"noncommutativity {noncomm:.3e} not positive"
+    yield Margin("noncommutativity", noncomm, 1e-3, above=True)
 
 
 # --- hardy -------------------------------------------------------------------
@@ -237,26 +255,25 @@ def check_mpc_rate(ctx: _Ctx):
 def check_oracle_agreement(ctx: _Ctx):
     times = np.linspace(-3.0, 3.0, 11)
     states = [ctx.oracle_state(4096), ctx.packet(4096)] + ctx.random_states(20, n=4096)
-    worst = 0.0
-    for state in states:
-        direct = expectation_trace(state, times, "forward")
-        worst = max(worst, float(np.max(np.abs(mf_expectation_oracle(state, times) - direct))))
-    assert worst < 5e-4, f"oracle vs kernel deviation {worst:.3e}"
+    devs = [
+        np.max(np.abs(mf_expectation_oracle(s, times) - expectation_trace(s, times, "forward")))
+        for s in states
+    ]
+    yield Margin("oracle vs kernel deviation", np.max(devs), 5e-4)
 
 
 def check_oracle_support(ctx: _Ctx):
     state = ctx.oracle_state(2048)
-    f = forward_component(state, 0.5)
-    assert np.all(f == 0.0), "forward component must vanish at positive delay"
+    nonzero = np.count_nonzero(forward_component(state, 0.5) != 0.0)
+    yield Margin("nonzero forward entries at positive delay", nonzero, 1)
     got = abs(forward_component(state, 0.0)[0])
-    assert abs(got - np.sqrt(2.0) / (2.0 * np.pi)) < 1e-6, f"f(0) = {got:.8f}"
+    yield Margin("f(0) error", abs(got - np.sqrt(2.0) / (2.0 * np.pi)), 1e-6)
 
 
 def check_oracle_tail(ctx: _Ctx):
     state = ctx.oracle_state(4096)
     got = mf_expectation_oracle(state, -100.0)
-    want = _arctan_trace(-100.0)
-    assert abs(got - want) < 1e-4, f"far-past oracle off by {got - want:.3e}"
+    yield Margin("far-past oracle error", abs(got - _arctan_trace(-100.0)), 1e-4)
 
 
 # --- m_transform -------------------------------------------------------------
@@ -264,26 +281,21 @@ def check_oracle_tail(ctx: _Ctx):
 
 def check_m_parseval(ctx: _Ctx):
     states = [ctx.oracle_state(2048), ctx.packet()] + ctx.random_states(5, n=2048)
-    worst = 0.0
-    for state in states:
-        dist = to_m_representation(state)
-        worst = max(worst, abs(dist.norm_squared() - state.norm_squared()))
-    assert worst < 1e-6, f"unitarity defect {worst:.3e}"
+    defects = [abs(to_m_representation(s).norm_squared() - s.norm_squared()) for s in states]
+    yield Margin("unitarity defect", np.max(defects), 1e-6)
 
 
 def check_m_orthonormality_weak(ctx: _Ctx):
     a, b = ctx.random_states(2, n=2048)
     mgrid = make_m_grid(a.grid)
     lhs = to_m_representation(a, mgrid).inner(to_m_representation(b, mgrid))
-    rhs = inner_product(a, b)
-    assert abs(lhs - rhs) < 1e-6, f"pairing defect {abs(lhs - rhs):.3e}"
+    yield Margin("pairing defect", abs(lhs - inner_product(a, b)), 1e-6)
 
 
 def check_m_roundtrip(ctx: _Ctx):
     state = ctx.packet()
     back = from_m_representation(to_m_representation(state), state.grid)
-    sup = float(np.max(np.abs(back.amplitudes - state.amplitudes)))
-    assert sup < 1e-6, f"roundtrip sup {sup:.3e}"
+    yield Margin("roundtrip sup", np.max(np.abs(back.amplitudes - state.amplitudes)), 1e-6)
 
 
 def check_eigen_residual_refinement(ctx: _Ctx):
@@ -292,27 +304,23 @@ def check_eigen_residual_refinement(ctx: _Ctx):
         grid = default_spectral_grid(n)
         kern = build_kernel(grid, "forward")
         res[n] = [eigen_residual(m, grid, kern) for m in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    assert max(res[4096]) < 1e-2, f"residuals {res[4096]}"
-    for coarse, fine in zip(res[4096], res[8192]):
-        assert fine < coarse, f"no refinement: {coarse:.3e} -> {fine:.3e}"
+    yield Margin("worst residual at n=4096", np.max(res[4096]), 1e-2)
+    yield Margin("worst change at n=8192", np.max(np.subtract(res[8192], res[4096])), 0.0)
 
 
 def check_triangulation(ctx: _Ctx):
-    states = [ctx.oracle_state(4096), ctx.packet(4096)]
     times = (-0.3, 0.0, 0.3)
-    worst = 0.0
-    for state in states:
-        oracle = mf_expectation_oracle(state, times)
-        for t, b in zip(times, oracle):
-            a = mf_expectation(state, t)
-            c = mf_expectation_via_m(state, t)
-            worst = max(worst, abs(a - b), abs(b - c), abs(a - c))
-    assert worst < 1e-3, f"route disagreement {worst:.3e}"
+    gaps = []
+    for state in (ctx.oracle_state(4096), ctx.packet(4096)):
+        for t, b in zip(times, mf_expectation_oracle(state, times)):
+            a, c = mf_expectation(state, t), mf_expectation_via_m(state, t)
+            gaps += [abs(a - b), abs(b - c), abs(a - c)]
+    yield Margin("route disagreement", np.max(gaps), 1e-3)
 
 
 def check_backward_running(ctx: _Ctx):
     prob = backward_running_probability(ctx.packet(), (0.4, 0.6), (0.7, 0.9), 0.05)
-    assert prob > 1e-6, f"backward-running probability {prob:.3e}"
+    yield Margin("backward-running probability", prob, 1e-6, above=True)
 
 
 # --- scattering --------------------------------------------------------------
@@ -320,36 +328,28 @@ def check_backward_running(ctx: _Ctx):
 
 def check_scattering_unitarity(ctx: _Ctx):
     p = np.geomspace(1e-3, 50.0, 512)
-    for lam in (0.0, 1.0, 2.0, 7.5):
-        model = delta_model(lam)
-        defect = np.max(
-            np.abs(
-                np.abs(model.reflection(p)) ** 2 + np.abs(model.transmission(p)) ** 2 - 1.0
-            )
-        )
-        assert defect < 1e-12, f"unitarity defect {defect:.3e} at coupling {lam}"
+    models = [delta_model(lam) for lam in (0.0, 1.0, 2.0, 7.5)]
+    flux = [np.abs(m.reflection(p)) ** 2 + np.abs(m.transmission(p)) ** 2 for m in models]
+    yield Margin("unitarity defect", np.max(np.abs(np.subtract(flux, 1.0))), 1e-12)
 
 
 def check_fd_scattering_oracle(ctx: _Ctx):
-    model = delta_model(1.0)
-    exact = float(np.abs(model.transmission(1.0)) ** 2)
+    exact = float(np.abs(delta_model(1.0).transmission(1.0)) ** 2)
     fd = fd_transmission_probability(1.0, 1.0, 1.0)
-    assert abs(fd - exact) < 1e-4, f"finite-difference solve off by {fd - exact:.3e}"
+    yield Margin("finite-difference error", abs(fd - exact), 1e-4)
 
 
 def check_equivalence_defect(ctx: _Ctx):
     state = ctx.packet()
-    for lam in (0.0, 1.0, 2.0):
-        d = equivalence_defect(state, delta_model(lam))
-        assert d < 1e-10, f"equivalence defect {d:.3e} at coupling {lam}"
+    defects = [equivalence_defect(state, delta_model(lam)) for lam in (0.0, 1.0, 2.0)]
+    yield Margin("equivalence defect", np.max(defects), 1e-10)
 
 
 def check_asymptotic_overlap(ctx: _Ctx):
     state = ctx.packet()
     overlaps = asymptotic_overlap(state, [delta_model(2.0)], [-5.0, -10.0, -20.0, -50.0])[0]
-    for early, late in zip(overlaps, overlaps[1:]):
-        assert late >= early - 1e-3, f"overlap not converging: {overlaps}"
-    assert overlaps[-1] > 0.99, f"overlap(-50) = {overlaps[-1]:.6f}"
+    yield Margin("worst overlap decrease", np.max(overlaps[:-1] - overlaps[1:]), 1e-3)
+    yield Margin("overlap(-50)", overlaps[-1], 0.99, above=True)
 
 
 # --- galapon -----------------------------------------------------------------
@@ -357,18 +357,19 @@ def check_asymptotic_overlap(ctx: _Ctx):
 
 def check_galapon_witness(ctx: _Ctx):
     state = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    devs, unflagged = [], 0
     for gap in (0.5, 1.0, 2.0):
-        op = gal.galapon_T([0.0, gap])
         times = np.linspace(0.0, 2.0 * np.pi / gap, 129)
-        wt = gal.lyapunov_violation_witness(op, state, times)
-        dev = np.max(np.abs(wt.values + np.sin(gap * times) / gap))
-        assert dev < 1e-12, f"two-level trace off by {dev:.3e} at gap {gap}"
-        assert wt.non_monotone, "oscillating trace not flagged"
+        wt = gal.lyapunov_violation_witness(gal.galapon_T([0.0, gap]), state, times)
+        devs.append(np.max(np.abs(wt.values + np.sin(gap * times) / gap)))
+        unflagged += not wt.non_monotone
+    yield Margin("two-level trace deviation", np.max(devs), 1e-12)
+    yield Margin("unflagged gaps", unflagged, 1)
 
 
 def check_galapon_proportionality(ctx: _Ctx):
     _, dev = gal.level_correspondence(np.linspace(1.0, 2.0, 9))
-    assert dev < 1e-12, f"proportionality defect {dev:.3e}"
+    yield Margin("proportionality defect", dev, 1e-12)
 
 
 _CHECKS = [
@@ -379,7 +380,6 @@ _CHECKS = [
     ("states.evolve_channel_restriction", check_evolve_channel_restriction),
     ("arrow_operator.antisymmetry", check_antisymmetry),
     ("arrow_operator.monotonicity_random", check_monotonicity_random),
-    ("arrow_operator.bounds", check_bounds),
     ("arrow_operator.derivative_identity", check_derivative_identity),
     ("arrow_operator.channel_additivity", check_channel_additivity),
     ("arrow_operator.mpc_rate", check_mpc_rate),
@@ -408,16 +408,20 @@ def check_names() -> list[str]:
 def run_checks(
     name_filter: str | None = None, seed: int = 20260808, fault: str | None = None
 ) -> list[CheckResult]:
-    """Run the invariant suite; `name_filter` selects by substring."""
+    """Run the invariant suite; `name_filter` selects by substring.
+
+    A check that raises fails with its message, keeping the margins it
+    yielded before the error."""
     ctx = _Ctx(seed, fault)
     results = []
     for name, fn in _CHECKS:
         if name_filter and name_filter not in name:
             continue
         start = time.perf_counter()
+        margins, error = [], None
         try:
-            fn(ctx)
-            results.append(CheckResult(name, True, "ok", time.perf_counter() - start))
+            margins.extend(fn(ctx))
         except Exception as exc:  # noqa: BLE001 - the table reports any failure
-            results.append(CheckResult(name, False, str(exc), time.perf_counter() - start))
+            error = str(exc) or type(exc).__name__
+        results.append(CheckResult(name, tuple(margins), error, time.perf_counter() - start))
     return results

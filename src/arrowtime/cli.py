@@ -267,7 +267,7 @@ def cmd_check(cfg: RunConfig, name_filter: str | None, fault: str | None) -> int
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  [{r.seconds:7.2f}s]  {'' if r.passed else r.detail}")
+        print(f"{status}  {r.name:<{width}}  [{r.seconds:7.2f}s]  {r.detail}")
         if not r.passed:
             failed.append(r.name)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

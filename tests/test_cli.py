@@ -246,10 +246,16 @@ def test_galapon_command_trace(tmp_path):
 
 
 def stub_checks(monkeypatch):
-    """Replace the registry with no-op checks that record which ones ran;
-    the real checks run once per session in the `registry` fixture."""
+    """Replace the registry with checks that record which ones ran and yield
+    one passing margin; the real checks run once per session in the
+    `registry` fixture."""
     ran = []
-    stubs = [(name, lambda ctx, name=name: ran.append(name)) for name in checks.check_names()]
+
+    def stub(name):
+        ran.append(name)
+        yield checks.Margin("stub defect", 0.0, 1.0)
+
+    stubs = [(name, lambda ctx, name=name: stub(name)) for name in checks.check_names()]
     monkeypatch.setattr(checks, "_CHECKS", stubs)
     return ran
 
@@ -257,8 +263,9 @@ def stub_checks(monkeypatch):
 def test_check_subcommand_filtered(capsys, monkeypatch):
     ran = stub_checks(monkeypatch)
     assert main(["check", "--filter", "galapon"]) == 0
-    out = capsys.readouterr().out
-    assert "galapon.witness" in out and "PASS" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS  galapon.witness")
+    assert lines[0].endswith("stub defect 0 < 1")
     assert ran == ["galapon.witness", "galapon.proportionality"]
 
 

@@ -52,14 +52,6 @@ def test_two_level_witness_is_minus_sine():
     assert wt.values[0] == 0.0
 
 
-@pytest.mark.parametrize("gap", [0.5, 1.0, 2.0])
-def test_witness_gap_scaling(gap):
-    op = at.galapon_T([0.0, gap])
-    state = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    times = np.linspace(0.0, 2.0 * np.pi / gap, 129)
-    wt = at.lyapunov_violation_witness(op, state, times)
-    assert np.max(np.abs(wt.values + np.sin(gap * times) / gap)) < 1e-12
-
 
 def test_witness_constant_for_eigenstate():
     op = at.galapon_T([0.0, 1.0])

@@ -254,9 +254,3 @@ def test_mpc_zero_state(oracle_state):
     zero = oracle_state.with_amplitudes(np.zeros_like(oracle_state.amplitudes))
     d_expect, _ = at.mpc_commutator_defect(zero)
     assert d_expect == 0.0
-
-
-def test_mpc_noncommutativity_positive_on_coarse_grid():
-    state = at.exponential_profile(at.make_energy_grid(1e-9, 42.0, 64))
-    _, noncomm = at.mpc_commutator_defect(state)
-    assert noncomm > 1e-3

@@ -93,11 +93,6 @@ def test_round_trip_exponential(oracle_state):
     assert np.max(np.abs(back.amplitudes - oracle_state.amplitudes)) < 1e-6
 
 
-def test_round_trip_packet(packet_state):
-    dist = at.to_m_representation(packet_state)
-    back = at.from_m_representation(dist, packet_state.grid)
-    assert np.max(np.abs(back.amplitudes - packet_state.amplitudes)) < 1e-5
-
 
 def test_round_trip_zero(oracle_state):
     zero = oracle_state.with_amplitudes(np.zeros_like(oracle_state.amplitudes))
@@ -170,10 +165,6 @@ def test_projection_rejects_bad_interval(packet_state):
     with pytest.raises(ValueError):
         dist.project((0.6, 0.4))
 
-
-def test_backward_running_probability_positive(packet_state):
-    prob = at.backward_running_probability(packet_state, (0.4, 0.6), (0.7, 0.9), 0.05)
-    assert prob > 1e-6
 
 
 def test_backward_running_rejects_empty_projection(oracle_state):

@@ -11,13 +11,6 @@ def test_free_model_is_trivial():
     assert np.all(model.reflection(p) == 0.0)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0, 7.5])
-def test_unitarity(lam):
-    model = at.delta_model(lam)
-    p = np.geomspace(1e-3, 50.0, 512)
-    defect = np.abs(model.reflection(p)) ** 2 + np.abs(model.transmission(p)) ** 2 - 1.0
-    assert np.max(np.abs(defect)) < 1e-12
-
 
 def test_transmission_against_reflection_and_fd_solve():
     model = at.delta_model(1.0, 1.0)

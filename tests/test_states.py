@@ -92,11 +92,6 @@ def test_evolve_preserves_norm(packet_state):
     assert abs(evolved.norm_squared() - packet_state.norm_squared()) < 1e-14
 
 
-def test_evolve_commutes_with_channel_restriction(packet_state):
-    a = at.evolve(packet_state.restrict_channel("+"), 0.37)
-    b = at.evolve(packet_state, 0.37).restrict_channel("+")
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-
 
 def test_random_smooth_state_seeded_and_normalized(profile_grid):
     a = at.random_smooth_state(profile_grid, seed=42)
