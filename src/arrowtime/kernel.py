@@ -229,9 +229,9 @@ def _forward_values(
         z = (w * row) * phase
         pv = np.sum(np.conj(z) * cauchy(grid, z), axis=1)
         pv_imag += pv.imag
-        reality = max(reality, float(np.max(np.abs(pv.real), initial=0.0)))
+        reality = np.maximum(reality, np.max(np.abs(pv.real), initial=0.0))
         cell += np.sum((w * np.abs(row) ** 2)[:, None] * gamma, axis=0)
-    return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), reality / (2.0 * np.pi)
+    return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), float(reality) / (2.0 * np.pi)
 
 
 def expectation_trace(
@@ -240,7 +240,7 @@ def expectation_trace(
     """Vectorized expectation values over many times (one kernel pass)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     fwd, reality = _forward_values(state, times)
-    if reality > REALITY_TOL:
+    if not reality <= REALITY_TOL:
         raise RuntimeError(
             "expectation value acquired an imaginary part "
             f"({reality:.3e}); the antisymmetric kernel is broken"
