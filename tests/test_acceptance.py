@@ -192,3 +192,9 @@ def test_criterion_12_check_suite_runtime(registry):
 def test_invariant(registry, name):
     result = registry.results[name]
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_every_check_reports_finite_margins(registry):
+    for name, result in registry.results.items():
+        assert result.margins, name
+        assert all(np.isfinite(m.value) for m in result.margins), f"{name}: {result.detail}"

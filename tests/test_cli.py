@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,47 @@ def test_run_checks_filter_names(monkeypatch):
     results = checks.run_checks("galapon")
     assert results and all(r.name.startswith("galapon") for r in results)
     assert ran == [r.name for r in results]
+
+
+def test_run_checks_fails_a_check_that_measures_nothing_or_raises(monkeypatch):
+    def broken(ctx):
+        yield checks.Margin("defect", 0.0, 1.0)
+        raise RuntimeError("operator broke")
+
+    monkeypatch.setattr(checks, "_CHECKS", [("empty", lambda ctx: iter(())), ("raises", broken)])
+    empty, raised = checks.run_checks()
+    assert not empty.passed and empty.detail == "measured nothing"
+    assert not raised.passed and raised.detail == "operator broke"
+
+
+def _nan_on_call(fn, k):
+    """`fn`, except that its k-th call returns NaN values."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = fn(*args)
+        if len(calls) != k:
+            return out
+        return replace(out, values=out.values * np.nan) if hasattr(out, "values") else out * np.nan
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "name, route, call",
+    [
+        ("hardy.oracle_agreement", "mf_expectation_oracle", 2),
+        ("m_transform.parseval", "to_m_representation", 2),
+        ("m_transform.triangulation", "mf_expectation_oracle", 2),
+        # call 4: the second channel of the second state
+        ("arrow_operator.antisymmetry", "cauchy_apply", 4),
+    ],
+)
+def test_nan_from_the_second_state_fails_the_check(monkeypatch, name, route, call):
+    monkeypatch.setattr(checks, route, _nan_on_call(getattr(checks, route), call))
+    (result,) = checks.run_checks(name)
+    assert not result.passed and "nan" in result.detail
 
 
 def test_seed_flag_overrides_config(tmp_path):
