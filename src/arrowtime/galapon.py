@@ -44,10 +44,12 @@ class DiscreteOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.shape != (e.size, e.size):
             raise ValueError("matrix must be square over the energy levels")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("energy levels must be finite")
         if np.unique(e).size != e.size:
             raise ValueError("energy levels must be distinct")
         defect = np.max(np.abs(mat - mat.conj().T))
-        if defect > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(mat)))):
+        if not defect <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(mat)))):
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
     @property
@@ -114,6 +116,8 @@ def lyapunov_violation_witness(op: DiscreteOperator, state, times) -> WitnessTra
     if abs(norm2 - 1.0) > 1e-10:
         raise ValueError("state must be normalized in the level basis")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     phases = np.exp(-1j * np.outer(op.energies, times))
     evolved = c[:, None] * phases
     applied = op.matrix @ evolved

@@ -42,6 +42,8 @@ def _half_line_transform(state: ChannelState, taus: np.ndarray) -> np.ndarray:
 
 def forward_component(state: ChannelState, tau: float) -> np.ndarray:
     """f_j(tau) = (1/2pi) Theta(-tau) integral_0^inf e^{i E tau} psi_j(E) dE."""
+    if not np.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau > 0.0:
         return np.zeros(len(state.channels), dtype=complex)
     return _half_line_transform(state, np.array([tau]))[:, 0]

@@ -29,6 +29,14 @@ def test_oracle_rejects_non_finite_times(oracle_state_small, times):
         at.mf_expectation_oracle(oracle_state_small, times)
 
 
+@pytest.mark.parametrize("tau", [np.nan, -np.inf, np.inf])
+def test_transform_rejects_non_finite_delay(oracle_state_small, tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        at.forward_component(oracle_state_small, tau)
+    with pytest.raises(ValueError, match="tau"):
+        at.tail_density(oracle_state_small, tau)
+
+
 def test_forward_component_vanishes_at_positive_delay(oracle_state):
     assert np.all(at.forward_component(oracle_state, 0.5) == 0.0)
 
