@@ -59,6 +59,9 @@ def delta_model(coupling: float, mu: float = 1.0) -> ScatteringModel:
     coupling < 0 is rejected: the attractive well binds a state, leaving the
     purely continuous spectrum these maps assume.
     """
+    for name, value in (("coupling", coupling), ("mu", mu)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if mu <= 0.0:
         raise ValueError("mass must be positive")
     if coupling < 0.0:
@@ -77,6 +80,9 @@ def fd_transmission_probability(
     lattice dispersion is inverted exactly, so only the contact-potential
     representation limits dx accuracy.
     """
+    for name, value in (("coupling", coupling), ("mu", mu), ("p", p), ("dx", dx), ("span", span)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if p <= 0.0:
         raise ValueError("momentum must be positive")
     energy = p**2 / (2.0 * mu)

@@ -34,6 +34,9 @@ class GaussianPacketParams:
     mu: float = 1.0
 
     def __post_init__(self):
+        for name in ("p0", "xi0", "mu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.xi0 <= 0.0:
             raise ValueError("xi0 must be positive")
         if self.mu <= 0.0:

@@ -25,6 +25,15 @@ def test_attractive_coupling_rejected():
         at.delta_model(-0.5)
 
 
+@pytest.mark.parametrize("name", ["coupling", "mu", "p"])
+def test_non_finite_parameters_are_rejected(name):
+    args = {"coupling": 1.0, "mu": 1.0, "p": 1.0, name: np.nan}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        at.fd_transmission_probability(**args)
+    with pytest.raises(ValueError, match="^mu must be finite"):
+        at.delta_model(1.0, np.inf)
+
+
 def test_moller_map_identity_and_isometry(packet_state):
     free = at.moller_map(packet_state, at.delta_model(0.0))
     assert np.array_equal(free.amplitudes, packet_state.amplitudes)

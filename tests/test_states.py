@@ -32,6 +32,13 @@ def test_gaussian_momentum_coverage_guard():
         at.gaussian_momentum_state(at.GaussianPacketParams(6.4, 3.0), p_max=20.0)
 
 
+@pytest.mark.parametrize("name", ["p0", "xi0", "mu"])
+def test_packet_params_reject_non_finite_values(name):
+    values = {"p0": 6.4, "xi0": 3.0, "mu": 1.0, name: np.nan}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        at.GaussianPacketParams(**values)
+
+
 def test_position_density_origin_value():
     params = at.GaussianPacketParams(2.7, 3.0)
     assert abs(at.gaussian_position_density(params, 0.0, 0.0) - 3.0 / np.sqrt(np.pi)) < 1e-12
