@@ -261,8 +261,7 @@ def cmd_frames(cfg: RunConfig, out_path: str) -> int:
 def cmd_check(cfg: RunConfig, name_filter: str | None, fault: str | None) -> int:
     results = run_checks(name_filter, seed=cfg.seed, fault=fault)
     if not results:
-        print(f"no checks match filter {name_filter!r}", file=sys.stderr)
-        return 1
+        raise ConfigError("filter", f"no check name contains {name_filter!r}")
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:

@@ -270,6 +270,13 @@ def test_check_subcommand_filtered(capsys, monkeypatch):
     assert ran == ["galapon.witness", "galapon.proportionality"]
 
 
+def test_check_filter_matching_nothing_is_a_config_error(capsys, monkeypatch):
+    ran = stub_checks(monkeypatch)
+    assert main(["check", "--filter", "nomatch"]) == 2
+    assert "filter" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_check_fault_injection_fails_antisymmetry(capsys):
     code = main(
         ["check", "--filter", "antisymmetry", "--inject-fault", "kernel-antisymmetry"]
