@@ -36,16 +36,13 @@ from .kernel import (
     SingularKernel,
     antisymmetry_defect,
     build_kernel,
-    expectation_trace,
     lyapunov_trace,
-    mb_expectation,
     mf_expectation,
     mpc_commutator_defect,
     pairing_defect,
 )
 from .hardy import (
     forward_component,
-    mb_expectation_oracle,
     mf_expectation_oracle,
     tail_density,
 )

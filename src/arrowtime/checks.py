@@ -31,7 +31,6 @@ from .kernel import (
     antisymmetry_defect,
     build_kernel,
     cauchy_apply,
-    expectation_trace,
     lyapunov_trace,
     mf_expectation,
     mpc_commutator_defect,
@@ -256,7 +255,7 @@ def check_oracle_agreement(ctx: _Ctx):
     times = np.linspace(-3.0, 3.0, 11)
     states = [ctx.oracle_state(4096), ctx.packet(4096)] + ctx.random_states(20, n=4096)
     devs = [
-        np.max(np.abs(mf_expectation_oracle(s, times) - expectation_trace(s, times, "forward")))
+        np.max(np.abs(mf_expectation_oracle(s, times) - mf_expectation(s, times)))
         for s in states
     ]
     yield Margin("oracle vs kernel deviation", np.max(devs), 5e-4)
@@ -312,9 +311,10 @@ def check_triangulation(ctx: _Ctx):
     times = (-0.3, 0.0, 0.3)
     gaps = []
     for state in (ctx.oracle_state(4096), ctx.packet(4096)):
-        for t, b in zip(times, mf_expectation_oracle(state, times)):
-            a, c = mf_expectation(state, t), mf_expectation_via_m(state, t)
-            gaps += [abs(a - b), abs(b - c), abs(a - c)]
+        a = mf_expectation(state, times)
+        b = mf_expectation_oracle(state, times)
+        c = mf_expectation_via_m(state, times)
+        gaps += [np.abs(a - b), np.abs(b - c), np.abs(a - c)]
     yield Margin("route disagreement", np.max(gaps), 1e-3)
 
 

@@ -240,8 +240,7 @@ def cmd_frames(cfg: RunConfig, out_path: str) -> int:
         for xi, di in zip(x, dens_x):
             emitter.row(xi, di)
         dist = to_m_representation(evolve(state, float(t)), mgrid)
-        amps = dist.amplitudes_m()
-        dens_sum, dens_ch = np.abs(np.sum(amps, axis=0)) ** 2, np.abs(amps) ** 2
+        dens_sum, dens_ch = dist.density_m()
         emitter.comment(f"block: m t={_fmt(t)}")
         emitter.comment(f"mf: {_fmt(mf_val)}")
         emitter.comment(f"first_moment: {_fmt(dist.first_moment())}")

@@ -21,7 +21,6 @@ __all__ = [
     "forward_component",
     "tail_density",
     "mf_expectation_oracle",
-    "mb_expectation_oracle",
 ]
 
 TAIL_POWERS = np.array([1.5, 2.0, 3.0, 4.0])
@@ -141,9 +140,3 @@ def mf_expectation_oracle(state: ChannelState, times):
     nonnegativity are structural here, independent of the singular-kernel route.
     """
     return _OracleDensity(state).expectation(times)
-
-
-def mb_expectation_oracle(state: ChannelState, times):
-    """Backward counterpart via exact completeness of the decomposition."""
-    dens = _OracleDensity(state)
-    return dens.norm2 - dens.expectation(times)

@@ -44,8 +44,6 @@ __all__ = [
     "cauchy_apply",
     "cauchy_matrix",
     "mf_expectation",
-    "mb_expectation",
-    "expectation_trace",
     "lyapunov_trace",
     "antisymmetry_defect",
     "pairing_defect",
@@ -190,10 +188,6 @@ class SingularKernel:
         sign = 1.0 if self.orientation == "forward" else -1.0
         return 0.5 * v + sign * (1j / (2.0 * np.pi)) * pv
 
-    def conjugate(self) -> "SingularKernel":
-        other = "backward" if self.orientation == "forward" else "forward"
-        return SingularKernel(self.grid, other, self.pv_row_sums, self.endpoint_log)
-
 
 def build_kernel(grid: EnergyGrid, orientation: Orientation = "forward") -> SingularKernel:
     if orientation not in ("forward", "backward"):
@@ -234,32 +228,17 @@ def _forward_values(
     return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), float(reality) / (2.0 * np.pi)
 
 
-def expectation_trace(
-    state: ChannelState, times, orientation: Orientation = "forward"
-) -> np.ndarray:
-    """Vectorized expectation values over many times (one kernel pass)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    fwd, reality = _forward_values(state, times)
+def mf_expectation(state: ChannelState, times):
+    """<psi(t)| M_F |psi(t)> at each entry of `times`, from one kernel pass: a
+    float for a scalar, else an array of the same shape.  Raises RuntimeError
+    when the reality defect exceeds REALITY_TOL; <M_B> is norm_squared() - mf."""
+    fwd, reality = _forward_values(state, np.ravel(times))
     if not reality <= REALITY_TOL:
         raise RuntimeError(
             "expectation value acquired an imaginary part "
             f"({reality:.3e}); the antisymmetric kernel is broken"
         )
-    if orientation == "forward":
-        return fwd
-    if orientation == "backward":
-        return state.norm_squared() - fwd
-    raise ValueError(f"unknown orientation: {orientation!r}")
-
-
-def mf_expectation(state: ChannelState, t: float) -> float:
-    """<psi(t)| M_F |psi(t)> for the forward arrow operator."""
-    return float(expectation_trace(state, [t], "forward")[0])
-
-
-def mb_expectation(state: ChannelState, t: float) -> float:
-    """<psi(t)| M_B |psi(t)>; complements mf_expectation exactly."""
-    return float(expectation_trace(state, [t], "backward")[0])
+    return float(fwd[0]) if np.ndim(times) == 0 else fwd.reshape(np.shape(times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +276,7 @@ def lyapunov_trace(state: ChannelState, times) -> LyapunovTrace:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("times must be strictly increasing")
-    mf = expectation_trace(state, times, "forward")
+    mf = mf_expectation(state, times)
     trace = LyapunovTrace(times, mf, state.norm_squared())
     steps = np.diff(mf)
     bad = np.nonzero(steps > MONOTONICITY_STEP_TOL)[0]

@@ -142,12 +142,12 @@ class MDistribution:
         out[ok] = np.exp(np.minimum(logmag, 350.0)) * (a[ok] / mag[ok])
         return out
 
-    def density_m(self, channel: str | None = None) -> np.ndarray:
-        """|psi(m)|^2 per channel, or of the channel-summed amplitude."""
+    def density_m(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|sum_j psi_j(m)|^2, |psi_j(m)|^2 one row per channel) from one
+        amplitudes_m() pass."""
         amps = self.amplitudes_m()
-        if channel is not None:
-            return np.abs(amps[self.channels.index(channel)]) ** 2
-        return np.abs(np.sum(amps, axis=0)) ** 2
+        rows = np.abs(amps) ** 2  # before the sum: this order kept cli_reference's peak RSS
+        return np.abs(np.sum(amps, axis=0)) ** 2, rows
 
     def first_moment(self) -> float:
         """sum_j integral m |psi_j(m)|^2 dm, evaluated on the nu lattice."""
@@ -226,11 +226,14 @@ def from_m_representation(dist: MDistribution, grid: EnergyGrid) -> ChannelState
     return ChannelState(grid, dist.channels, np.vstack(rows), dist.mu)
 
 
-def mf_expectation_via_m(
-    state: ChannelState, t: float, mgrid: MGrid | None = None
-) -> float:
-    """Spectral-theorem route: first moment of the evolved eigenvalue density."""
-    return to_m_representation(evolve(state, t), mgrid).first_moment()
+def mf_expectation_via_m(state: ChannelState, times, mgrid: MGrid | None = None):
+    """Spectral-theorem route: first moment of the evolved eigenvalue density
+    at each entry of `times` (a float for a scalar, else an array of the same
+    shape), every time on one lattice."""
+    if mgrid is None:
+        mgrid = make_m_grid(state.grid)
+    vals = [to_m_representation(evolve(state, t), mgrid).first_moment() for t in np.ravel(times)]
+    return vals[0] if np.ndim(times) == 0 else np.reshape(vals, np.shape(times))
 
 
 def default_spectral_grid(n: int = 4096) -> EnergyGrid:

@@ -24,7 +24,7 @@ def test_criterion_01_closed_form_trace(oracle_state):
     start = time.perf_counter()
     times = np.linspace(-2.0, 2.0, 21)
     exact = arctan_trace(times)
-    direct = at.expectation_trace(oracle_state, times, "forward")
+    direct = at.mf_expectation(oracle_state, times)
     err_kernel = float(np.max(np.abs(direct - exact)))
     err_oracle = float(np.max(np.abs(at.mf_expectation_oracle(oracle_state, times) - exact)))
     elapsed = time.perf_counter() - start
@@ -90,9 +90,8 @@ def test_criterion_05_m_density_closed_form(oracle_state):
     dist = at.to_m_representation(oracle_state)
     m = dist.mgrid.m_nodes
     sel = (m >= 0.05) & (m <= 0.95)
-    dens_err = float(
-        np.max(np.abs(dist.density_m("+")[sel] - 1.0 / (np.pi * np.sqrt(m[sel] * (1 - m[sel])))))
-    )
+    dens = dist.density_m()[1][0]
+    dens_err = float(np.max(np.abs(dens[sel] - 1.0 / (np.pi * np.sqrt(m[sel] * (1 - m[sel]))))))
     parseval = abs(dist.norm_squared() - oracle_state.norm_squared())
     report(
         5,

@@ -87,7 +87,7 @@ def test_oracle_agrees_with_kernel_on_random_states(profile_grid):
     times = np.linspace(-3.0, 3.0, 11)
     for seed in (1, 2, 3):
         state = at.random_smooth_state(profile_grid, seed=seed)
-        direct = at.expectation_trace(state, times, "forward")
+        direct = at.mf_expectation(state, times)
         worst = np.max(np.abs(at.mf_expectation_oracle(state, times) - direct))
         assert worst < 5e-4
 
@@ -116,14 +116,6 @@ def test_oracle_keeps_no_reference_to_the_state():
     del state
     gc.collect()
     assert ref() is None
-
-
-def test_backward_oracle_complements(oracle_state):
-    times = np.array([-1.0, 0.4])
-    total = at.mf_expectation_oracle(oracle_state, times) + at.mb_expectation_oracle(
-        oracle_state, times
-    )
-    assert np.all(np.abs(total - oracle_state.norm_squared()) < 1e-14)
 
 
 def test_oracle_reports_uncertifiable_tail():

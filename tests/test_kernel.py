@@ -23,7 +23,7 @@ def test_backward_kernel_is_conjugate(profile_grid):
 
 def test_forward_plus_backward_acts_as_identity(profile_grid):
     fwd = at.build_kernel(profile_grid, "forward")
-    bwd = fwd.conjugate()
+    bwd = at.build_kernel(profile_grid, "backward")
     rng = np.random.default_rng(4)
     v = rng.normal(size=profile_grid.n) + 1j * rng.normal(size=profile_grid.n)
     resid = fwd.apply(v) + bwd.apply(v) - v
@@ -129,15 +129,26 @@ def test_mf_packet_at_time_zero_is_half(packet_state_fine):
     assert abs(got - 0.5 * packet_state_fine.norm_squared()) < 1e-12
 
 
-def test_mb_matches_closed_form(oracle_state):
-    assert abs(at.mb_expectation(oracle_state, 1.0) - 0.75) < 2e-4
-    assert at.mb_expectation(
-        oracle_state.with_amplitudes(np.zeros_like(oracle_state.amplitudes)), 1.0
-    ) == 0.0
-
-
 def test_mb_vanishes_in_far_past(oracle_state):
-    assert at.mb_expectation(oracle_state, -100.0) < 5e-3
+    assert oracle_state.norm_squared() - at.mf_expectation(oracle_state, -100.0) < 5e-3
+
+
+@pytest.mark.parametrize("which", ["profile", "packet"])
+def test_array_call_equals_scalar_calls(oracle_state, packet_state, which):
+    state = {"profile": oracle_state, "packet": packet_state}[which]
+    times = np.array([[-0.3, 0.0], [0.05, 0.3]])
+    values = at.mf_expectation(state, times)
+    assert values.shape == times.shape
+    scalars = np.vectorize(lambda t: at.mf_expectation(state, t))(times)
+    if which == "profile":
+        assert np.array_equal(values, scalars)
+    assert np.max(np.abs(values - scalars)) <= 1e-15
+    via_m = at.mf_expectation_via_m(state, times)
+    assert via_m.shape == times.shape
+    assert np.array_equal(via_m, np.vectorize(lambda t: at.mf_expectation_via_m(state, t))(times))
+    for route in (at.mf_expectation, at.mf_expectation_via_m):
+        assert type(route(state, np.float64(0.3))) is float
+        assert type(route(state, np.array(0.3))) is float
 
 
 def test_lyapunov_trace_closed_form(oracle_state):
@@ -153,11 +164,10 @@ def test_lyapunov_trace_empty_times(oracle_state):
 
 
 NON_FINITE_ROUTES = {
-    "expectation_trace": lambda s: at.expectation_trace(s, [0.0, np.inf]),
+    "mf_expectation_array": lambda s: at.mf_expectation(s, [0.0, np.inf]),
     "lyapunov_trace": lambda s: at.lyapunov_trace(s, [0.0, np.inf]),
     "lyapunov_trace_nan": lambda s: at.lyapunov_trace(s, [0.0, np.nan, 1.0]),
     "mf_expectation": lambda s: at.mf_expectation(s, np.nan),
-    "mb_expectation": lambda s: at.mb_expectation(s, -np.inf),
     "antisymmetry_defect": lambda s: at.antisymmetry_defect(s, [0.0, np.nan]),
 }
 
@@ -230,7 +240,7 @@ def test_expectation_bounds_on_random_states(profile_grid):
     times = np.linspace(-5.0, 5.0, 41)
     for k in range(5):
         state = at.random_smooth_state(profile_grid, seed=500 + k)
-        vals = at.expectation_trace(state, times, "forward")
+        vals = at.mf_expectation(state, times)
         assert vals.min() >= -1e-8
         assert vals.max() <= 1.0 + 1e-8
 
@@ -242,12 +252,6 @@ def test_derivative_matches_tail_density(oracle_state):
     )
     rate = -at.tail_density(at.evolve(oracle_state, t), 0.0)
     assert abs(num - rate) < 1e-3 + h**2
-
-
-def test_mpc_rate_for_oracle_state(oracle_state):
-    d_expect, noncomm = at.mpc_commutator_defect(oracle_state)
-    assert abs(d_expect - 1.0 / np.pi) < 1e-3
-    assert noncomm > 0.0
 
 
 def test_mpc_zero_state(oracle_state):

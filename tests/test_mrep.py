@@ -62,10 +62,11 @@ def test_oracle_state_m_density_closed_form(oracle_state):
     dist = at.to_m_representation(oracle_state)
     m = dist.mgrid.m_nodes
     sel = (m >= 0.05) & (m <= 0.95)
-    dens = dist.density_m("+")[sel]
-    assert np.max(np.abs(dens - closed_form_density(m[sel]))) < 1e-4
+    summed, (dens,) = dist.density_m()
+    assert np.array_equal(summed, dens)  # one channel: the sum is that channel
+    assert np.max(np.abs(dens[sel] - closed_form_density(m[sel]))) < 1e-4
     mid = np.argmin(np.abs(m - 0.5))
-    assert abs(dist.density_m("+")[mid] - 2.0 / np.pi) < 1e-4
+    assert abs(dens[mid] - 2.0 / np.pi) < 1e-4
 
 
 def test_m_transform_parseval(oracle_state, packet_state):
