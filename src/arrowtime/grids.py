@@ -39,6 +39,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_finite(**fields):
+    """Raise ValueError naming the first field that holds a NaN or an infinity."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 class UnderresolvedGridError(ValueError):
     """An energy grid too coarse to carry a state's norm."""
 
@@ -64,6 +71,7 @@ class EnergyGrid:
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(np.asarray(self.nodes, dtype=float)))
         object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
+        _check_finite(nodes=self.nodes, weights=self.weights, e_min=self.e_min, e_max=self.e_max)
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         if self.nodes[0] <= 0.0:
@@ -121,6 +129,7 @@ def make_energy_grid(
     e_min must be strictly positive: amplitudes behaving like E^(-1/2+i.nu)
     are singular at E = 0, so the origin is always excluded.
     """
+    _check_finite(e_min=e_min, e_max=e_max)
     if not (0.0 < e_min < e_max):
         raise ValueError("need 0 < e_min < e_max")
     if n < 2:
@@ -164,10 +173,9 @@ class ChannelState:
             raise ValueError("channel labels must be unique")
         if self.amplitudes.shape != (len(self.channels), self.grid.n):
             raise ValueError("amplitude array must be (n_channels, n_nodes)")
+        _check_finite(mu=self.mu, amplitudes=self.amplitudes)
         if self.mu <= 0.0:
             raise ValueError("mass must be positive")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
 
     def norm_squared(self) -> float:
         return float(np.sum(self.grid.weights * np.abs(self.amplitudes) ** 2))
@@ -199,6 +207,7 @@ class MomentumState:
         object.__setattr__(self, "nodes", _frozen(np.asarray(self.nodes, dtype=float)))
         object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
         object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=complex)))
+        _check_finite(nodes=self.nodes, weights=self.weights, values=self.values, mu=self.mu)
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("momentum nodes must be strictly increasing")
         if abs(self.nodes[0] + self.nodes[-1]) > 1e-9 * self.nodes[-1]:

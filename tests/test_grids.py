@@ -52,6 +52,42 @@ def test_grid_invariant_validation():
         at.EnergyGrid(np.array([1.0, 2.0, 3.1]), np.ones(3), "linear", 1.0, 3.1)
 
 
+def _grid3(nodes=(1.0, 2.0, 3.0), weights=(1.0, 1.0, 1.0), e_max=3.0):
+    return at.EnergyGrid(np.array(nodes), np.array(weights), "linear", 1.0, e_max)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("e_max", lambda: at.make_energy_grid(1.0, np.inf, 8, "logarithmic")),
+        ("e_max", lambda: at.make_energy_grid(1.0, np.inf, 8, "linear")),
+        ("e_min", lambda: at.make_energy_grid(np.nan, 2.0, 8)),
+        ("nodes", lambda: _grid3(nodes=(1.0, np.nan, 3.0))),
+        ("weights", lambda: _grid3(weights=(1.0, np.nan, 1.0))),
+        ("e_max", lambda: _grid3(e_max=np.inf)),
+        ("mu", lambda: at.ChannelState(_grid3(), ("+",), np.ones(3), mu=np.nan)),
+        ("mu", lambda: at.ChannelState(_grid3(), ("+",), np.ones(3), mu=np.inf)),
+        ("values", lambda: at.MomentumState(np.arange(-1.0, 2.0), np.ones(3), [1.0, np.nan, 1.0])),
+        ("mu", lambda: at.MomentumState(np.arange(-1.0, 2.0), np.ones(3), np.ones(3), np.nan)),
+    ],
+    ids=[
+        "make_energy_grid-log",
+        "make_energy_grid-linear",
+        "make_energy_grid-e_min",
+        "EnergyGrid-nodes",
+        "EnergyGrid-weights",
+        "EnergyGrid-e_max",
+        "ChannelState-nan",
+        "ChannelState-inf",
+        "MomentumState-values",
+        "MomentumState-mu",
+    ],
+)
+def test_non_finite_fields_are_rejected(field, build):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()
+
+
 def test_inner_product_normalization_and_zero(oracle_state):
     assert abs(at.inner_product(oracle_state, oracle_state) - 1.0) < 1e-10
     zero = oracle_state.with_amplitudes(np.zeros_like(oracle_state.amplitudes))
