@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+def _levels(energies) -> np.ndarray:
+    """The energy levels as a float array; ValueError unless finite and distinct."""
+    e = np.asarray(energies, dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energy levels must be finite")
+    if np.unique(e).size != e.size:
+        raise ValueError("energy levels must be distinct")
+    return e
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Hermitian matrix attached to a set of distinct energy levels."""
@@ -36,7 +46,7 @@ class DiscreteOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
+        e = _levels(self.energies)
         mat = np.asarray(self.matrix, dtype=complex)
         e.setflags(write=False)
         mat.setflags(write=False)
@@ -44,10 +54,6 @@ class DiscreteOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.shape != (e.size, e.size):
             raise ValueError("matrix must be square over the energy levels")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("energy levels must be finite")
-        if np.unique(e).size != e.size:
-            raise ValueError("energy levels must be distinct")
         defect = np.max(np.abs(mat - mat.conj().T))
         if not defect <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(mat)))):
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -71,7 +77,7 @@ def discretize_symmetric(grid: EnergyGrid) -> DiscreteOperator:
 
 def galapon_T(energies) -> DiscreteOperator:
     """Canonical discrete time operator: zero diagonal, i/(E_n - E_m) off it."""
-    e = np.asarray(energies, dtype=float)
+    e = _levels(energies)
     return DiscreteOperator(e, 1j * cauchy_matrix(e, e))
 
 
@@ -113,7 +119,7 @@ def lyapunov_violation_witness(op: DiscreteOperator, state, times) -> WitnessTra
     if c.shape != (op.n,):
         raise ValueError("state must be a coefficient vector over the levels")
     norm2 = float(np.sum(np.abs(c) ** 2))
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:
         raise ValueError("state must be normalized in the level basis")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):

@@ -10,16 +10,19 @@ def uniform_level_grid(n=9):
     return at.EnergyGrid(nodes, np.full(n, step), "linear", 1.0, 2.0), step
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "build",
     [
         lambda: at.galapon_T([0.0, np.nan]),
         lambda: at.DiscreteOperator([0.0, 1.0], [[0.0, np.nan], [np.nan, 0.0]]),
         lambda: at.lyapunov_violation_witness(at.galapon_T([0.0, 1.0]), [1.0, 0.0], [0.0, np.nan]),
+        lambda: at.galapon_T([0.0, np.inf]),
+        lambda: at.lyapunov_violation_witness(at.galapon_T([0.0, 1.0]), [np.nan, 1.0], [0.0, 1.0]),
     ],
 )
 def test_non_finite_input_is_rejected(build):
-    with pytest.raises(ValueError, match="finite|Hermitian"):
+    with pytest.raises(ValueError, match="finite|Hermitian|normalized"):
         build()
 
 
