@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         if args.grid_n is not None:
             cfg.grid_n = args.grid_n
         cfg.validate(args.command)
-        out = args.out or f"arrowtime_{args.command}.csv"
+        out = args.out or cfg.out or f"arrowtime_{args.command}.csv"
         if args.command == "trace":
             return cmd_trace(cfg, out)
         if args.command == "frames":

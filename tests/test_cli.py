@@ -169,6 +169,16 @@ def test_grid_n_flag_overrides_config(tmp_path):
     assert '"grid_n": 256' in comments[1]
 
 
+def test_out_key_names_the_csv_and_the_flag_wins(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    wanted = str(tmp_path / "wanted.csv")
+    cfg = write_config(tmp_path, experiment="exponential", t_count=3, grid_n=512, out=wanted)
+    assert main(["trace", "--config", cfg]) == 0
+    assert os.path.exists(wanted) and not os.path.exists("arrowtime_trace.csv")
+    assert main(["trace", "--config", cfg, "--out", "flag.csv"]) == 0
+    assert read_blocks("flag.csv") == read_blocks(wanted)
+
+
 @pytest.mark.parametrize("config_n, flag_n", [(4, "512"), (512, "4")])
 def test_config_is_validated_after_overrides(tmp_path, capsys, config_n, flag_n):
     cfg = write_config(tmp_path, experiment="exponential", t_count=3, grid_n=config_n)
