@@ -70,7 +70,7 @@ class MonotonicityError(RuntimeError):
 # Diagonals the FFT form sums from the nodes per unit of step irregularity,
 # and the most it may need before a grid keeps the dense form (see the README).
 _NEAR_UNIT, _NEAR_MAX = 6.5e-13, 32
-_FFT_BLOCK = 1 << 20  # float64 elements per FFT block, bounding temporaries
+_TIME_BLOCK = 1 << 16  # node-times per trace block, bounding its temporaries
 
 
 def cauchy_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -120,17 +120,12 @@ def _cauchy_toeplitz(grid: EnergyGrid, z: np.ndarray, coord: np.ndarray, near: i
     parts = np.stack([z.real, z.imag])
     if log:
         parts /= e
-    flat = parts.reshape(-1, n)
-    rows = max(1, _FFT_BLOCK // size)
-    for a in range(0, flat.shape[0], rows):
-        x = flat[a : a + rows]
-        f = np.fft.rfft(x, size)
-        f *= kern_f
-        s = np.fft.irfft(f, size)[:, :n]
-        if log:  # -sum_{j > i + near} x_j
-            s[:, : n - near - 1] -= np.cumsum(x[:, :near:-1], axis=1)[:, ::-1]
-        flat[a : a + rows] = s
-    out = parts[0] + 1j * parts[1]
+    f = np.fft.rfft(parts, size)
+    f *= kern_f
+    s = np.fft.irfft(f, size)[..., :n]
+    if log:  # -sum_{j > i + near} x_j
+        s[..., : n - near - 1] -= np.cumsum(parts[..., :near:-1], axis=-1)[..., ::-1]
+    out = s[0] + 1j * s[1]
     for k in range(1, near + 1):
         rec = 1.0 / (e[k:] - e[:-k])
         out[..., k:] += rec * z[..., :-k]
@@ -205,27 +200,31 @@ def _forward_values(
 ) -> tuple[np.ndarray, float]:
     """Forward expectation at each time via the Hermitian quadratic form, and
     the reality defect: max over times and channels of |Re<z, C z>| / 2pi for
-    the weighted evolved amplitudes z, zero when `cauchy` is antisymmetric."""
+    the weighted evolved amplitudes z, zero when `cauchy` is antisymmetric.
+    Times go in blocks of _TIME_BLOCK node-times, one `cauchy` call per block
+    and channel, so the temporaries do not grow with the number of times."""
     grid = state.grid
     e, w = grid.nodes, grid.weights
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    norm2 = state.norm_squared()
-    vals = np.full(times.shape, 0.5 * norm2)
-    # evolution phases and diagonal-cell correction, shared across channels
-    phase = np.exp(-1j * np.outer(times, e))
-    gamma = gamma_cell(np.outer(w, times))
     cell = np.zeros(times.size)
     pv_imag = np.zeros(times.size)
     reality = 0.0
-    for row in state.amplitudes:
-        z = (w * row) * phase
-        pv = np.sum(np.conj(z) * cauchy(grid, z), axis=1)
-        pv_imag += pv.imag
-        reality = np.maximum(reality, np.max(np.abs(pv.real), initial=0.0))
-        cell += np.sum((w * np.abs(row) ** 2)[:, None] * gamma, axis=0)
-    return vals - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi), float(reality) / (2.0 * np.pi)
+    step = max(1, _TIME_BLOCK // grid.n)
+    for a in range(0, times.size, step):
+        block = slice(a, a + step)
+        # evolution phases and diagonal-cell correction, shared across channels
+        phase = np.exp(-1j * np.outer(times[block], e))
+        gamma = gamma_cell(np.outer(w, times[block]))
+        for row in state.amplitudes:
+            z = (w * row) * phase
+            pv = np.sum(np.conj(z) * cauchy(grid, z), axis=1)
+            pv_imag[block] += pv.imag
+            reality = np.maximum(reality, np.max(np.abs(pv.real), initial=0.0))
+            cell[block] += np.sum((w * np.abs(row) ** 2)[:, None] * gamma, axis=0)
+    mf = 0.5 * state.norm_squared() - pv_imag / (2.0 * np.pi) - cell / (2.0 * np.pi)
+    return mf, float(reality) / (2.0 * np.pi)
 
 
 def mf_expectation(state: ChannelState, times):

@@ -1,9 +1,16 @@
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 import arrowtime as at
+from arrowtime import kernel
+from arrowtime.checks import _symmetric_fault
 from arrowtime.kernel import (
     _NEAR_MAX,
     _cauchy_dense,
@@ -11,6 +18,7 @@ from arrowtime.kernel import (
     _near_width,
     cauchy_apply,
 )
+from conftest import arctan_trace
 
 
 def test_backward_kernel_is_conjugate(profile_grid):
@@ -90,6 +98,16 @@ def test_fft_cauchy_matches_dense_on_default_grids(grid):
         assert np.array_equal(cauchy_apply(grid, np.conj(z)), np.conj(fast))
 
 
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_cauchy_apply_on_any_leading_shape(spacing):
+    grid = at.make_energy_grid(0.5, 20.0, 300, spacing)
+    assert _near_width(grid.coordinate) <= _NEAR_MAX  # the FFT form applies
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(2, 3, grid.n)) + 1j * rng.normal(size=(2, 3, grid.n))
+    flat = cauchy_apply(grid, z.reshape(6, grid.n))
+    assert np.array_equal(cauchy_apply(grid, z), flat.reshape(z.shape))
+
+
 def test_fft_trace_matches_dense_trace(packet_state_fine, oracle_state):
     times = np.linspace(-0.5, 0.5, 21)
     for state in (packet_state_fine, oracle_state):
@@ -149,6 +167,72 @@ def test_array_call_equals_scalar_calls(oracle_state, packet_state, which):
     for route in (at.mf_expectation, at.mf_expectation_via_m):
         assert type(route(state, np.float64(0.3))) is float
         assert type(route(state, np.array(0.3))) is float
+    times = np.linspace(-0.5, 0.5, 101)  # several time blocks
+    scalars = [at.mf_expectation(state, t) for t in times]
+    assert np.max(np.abs(at.mf_expectation(state, times) - scalars)) <= 1e-15
+
+
+def _faulty_last_call(state, times, faulty):
+    """A Cauchy sum that is `faulty` on the last of the calls a trace of `times`
+    makes, one per time block and channel, and cauchy_apply on the others."""
+    calls = []
+    _forward_values(state, times, lambda grid, z: calls.append(z.shape) or cauchy_apply(grid, z))
+    assert len(calls) > len(state.channels)  # the times span several blocks
+    left = iter(range(len(calls) - 1, -1, -1))
+    return lambda grid, z: (cauchy_apply if next(left) else faulty)(grid, z)
+
+
+@pytest.mark.parametrize("which", ["profile", "packet"])
+def test_a_fault_in_the_last_time_block_is_seen(oracle_state, packet_state, which, monkeypatch):
+    state = {"profile": oracle_state, "packet": packet_state}[which]
+    times = np.linspace(-0.5, 0.5, 101)
+    faulty = _faulty_last_call(state, times, _symmetric_fault)
+    assert at.antisymmetry_defect(state, times, faulty) > 1e-12
+    nan = _faulty_last_call(state, times, lambda grid, z: np.nan * cauchy_apply(grid, z))
+    monkeypatch.setattr(kernel, "_forward_values", functools.partial(_forward_values, cauchy=nan))
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        at.mf_expectation(state, times)
+
+
+def test_trace_memory_is_flat_in_time_count(packet_params):
+    # the times are walked in fixed blocks, so the peak does not grow with T
+    state = at.gaussian_channel_state(packet_params, n=16384)
+    peaks = {}
+    for count in (21, 201):
+        tracemalloc.start()
+        try:
+            at.lyapunov_trace(state, np.linspace(-0.5, 0.5, count))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[201] < 32e6
+    assert abs(peaks[201] - peaks[21]) < 1e6
+
+
+def power_exponential_state(grid, a):
+    """psi_a(E) = c_a E^a exp(-E) with c_a^2 = 2^(2a+1) / Gamma(2a+1), of unit norm;
+    a = 0 is the exponential reference profile."""
+    c = math.sqrt(2.0 ** (2.0 * a + 1.0) / math.gamma(2.0 * a + 1.0))
+    return at.ChannelState(grid, ("+",), c * grid.nodes**a * np.exp(-grid.nodes))
+
+
+def power_exponential_trace(t, a):
+    """Closed-form forward trace of power_exponential_state: its transform is
+    proportional to (1 - i tau)^-(a+1), so <M_F>(t) = I_x(a + 1/2, 1/2) / 2 with
+    x = 1/(1 + t^2) for t >= 0, and one minus that for t < 0."""
+    half = 0.5 * betainc(a + 0.5, 0.5, 1.0 / (1.0 + t**2))
+    return np.where(t >= 0.0, half, 1.0 - half)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
+def test_power_exponential_family_closed_form(profile_grid, a):
+    times = np.linspace(-2.0, 2.0, 201)
+    state = power_exponential_state(profile_grid, a)
+    exact = power_exponential_trace(times, a)
+    assert np.max(np.abs(at.mf_expectation(state, times) - exact)) < 1e-6
+    assert np.max(np.abs(at.mf_expectation_oracle(state, times) - exact)) < 5e-5
+    if a == 0.0:
+        assert np.max(np.abs(exact - arctan_trace(times))) <= 1e-12
 
 
 def test_lyapunov_trace_closed_form(oracle_state):
